@@ -38,7 +38,6 @@ from .graph import (
     Network,
     active_edges,
     edge_values,
-    min_edge_length,
     new_network,
     support_components,
 )
@@ -55,7 +54,6 @@ from .io import (
 from .kirchhoff import (
     FlowSolution,
     kirchhoff_continuity_probe,
-    kirchhoff_system,
     solve_kirchhoff,
 )
 from .optimizer import (

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on validation or input errors (a machine-readable
 ``{"error": ..., "message": ...}`` JSON line goes to stderr), 2 when an
-optimizer run diverged.  The environment variable ``NETFORGE_SEED`` overrides
-any ``--seed`` option.
+optimizer run (any run of a sweep) ended ``diverged`` or ``gave_up``; its
+output files are still written.  The environment variable ``NETFORGE_SEED``
+overrides any ``--seed`` option.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .graph import ModelParams
 from .kirchhoff import solve_kirchhoff
 from .optimizer import OptimConfig, optimize, sweep_mu
 from .trees import enumerate_spanning_trees, tree_local_minimizer
+
+
+#: run terminations that make ``optimize`` and ``sweep`` exit with code 2
+_FAILED_TERMINATIONS = ("diverged", "gave_up")
 
 
 class _UsageError(Exception):
@@ -96,7 +101,7 @@ def _cmd_optimize(args) -> int:
     config = _run_config(args)
     run = optimize(net, params, config)
     _write_run(net, run, params, config, Path(args.out))
-    return 2 if run.termination == "diverged" else 0
+    return 2 if run.termination in _FAILED_TERMINATIONS else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -110,13 +115,12 @@ def _cmd_sweep(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    diverged = False
     for i, (mu, run) in enumerate(zip(sweep.mu_values, sweep.runs)):
         rundir = outdir / f"run_{i:02d}_mu_{mu:g}"
         _write_run(net, run, replace(params, mu=mu), replace(config, seed=config.seed + i), rundir)
-        diverged = diverged or run.termination == "diverged"
     io.write_sweep_csv(sweep, outdir / "summary.csv")
-    return 2 if diverged else 0
+    failed = any(run.termination in _FAILED_TERMINATIONS for run in sweep.runs)
+    return 2 if failed else 0
 
 
 def _cmd_trees(args) -> int:

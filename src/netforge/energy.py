@@ -1,9 +1,10 @@
 """Transport energy: pumping (kinetic) plus metabolic cost of a network.
 
 The kinetic part is the power needed to push the flow through the edges,
-sum of Q^2 / C * L; the metabolic part charges (nu / gamma) * C^gamma * L per
-edge for maintaining conductivity.  Conductivity states whose flow problem is
-unsolvable carry infinite energy.
+sum of Q^2 / C * L, which equals P . S for the Kirchhoff pressures P; the
+metabolic part charges (nu / gamma) * C^gamma * L per edge for maintaining
+conductivity.  Conductivity states whose flow problem is unsolvable carry
+infinite energy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import DisconnectedSupportError
-from .graph import ModelParams, Network, edge_values, support_components
+from .graph import ModelParams, Network, edge_values
 from .kirchhoff import solve_kirchhoff
 from .spectral import ProbeResult, laplacian, spectral_decompose
 
@@ -37,26 +38,30 @@ class EnergyBreakdown:
         return isfinite(self.total)
 
 
-def _metabolic(values, lengths, params: ModelParams) -> float:
-    return float(params.nu / params.gamma * np.sum(values**params.gamma * lengths))
+def kinetic_energy(P: np.ndarray, S: np.ndarray) -> float:
+    """Pumping power P . S = sum Q^2 L / C of a Kirchhoff solution."""
+    return float(P @ S)
+
+
+def metabolic_energy(values: np.ndarray, lengths: np.ndarray, params: ModelParams) -> float:
+    """Maintenance cost nu / gamma * sum C^gamma L."""
+    return params.nu / params.gamma * float(values**params.gamma @ lengths)
 
 
 def energy(net: Network, C, params: ModelParams) -> EnergyBreakdown:
     """Evaluate the transport energy at conductivities ``C``.
 
-    Zero-conductivity edges carry zero flux and contribute nothing to the
-    kinetic sum (the 0/0 limit convention); the flux formula makes a nonzero
-    flux on a zero edge impossible.
+    The kinetic part is P . S, the sum of Q^2 L / C over the support:
+    zero-conductivity edges carry zero flux and contribute nothing (the 0/0
+    limit convention).  ``optimize`` evaluates the same two formulas, so its
+    recorded energies match this function bit for bit.
     """
     values = edge_values(net, C)
-    metabolic = _metabolic(values, net.lengths, params)
+    metabolic = metabolic_energy(values, net.lengths, params)
     sol = solve_kirchhoff(net, values)
     if not sol.solvable:
         return EnergyBreakdown(np.inf, metabolic, np.inf)
-    mask = values > 0.0
-    kinetic = float(
-        np.sum(sol.fluxes[mask] ** 2 / values[mask] * net.lengths[mask])
-    )
+    kinetic = kinetic_energy(sol.pressures, net.sources)
     return EnergyBreakdown(kinetic, metabolic, kinetic + metabolic)
 
 
@@ -122,13 +127,8 @@ def kinetic_bound_check(net: Network, C) -> tuple:
         raise ValueError("kinetic bound requires a nonzero source vector")
 
     sol = solve_kirchhoff(net, values)
-    if sol.solvable:
-        mask = values > 0.0
-        ekin = float(np.sum(sol.fluxes[mask] ** 2 / values[mask] * net.lengths[mask]))
-    else:
-        ekin = np.inf
-
-    if len(support_components(net, values)) != 1:
+    ekin = kinetic_energy(sol.pressures, net.sources) if sol.solvable else np.inf
+    if len(sol.components) != 1:
         return ekin, np.inf
     fiedler = spectral_decompose(laplacian(net, values, use_lengths=True)).fiedler
     bound = s_norm2 / fiedler if fiedler > 0.0 else np.inf

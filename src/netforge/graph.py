@@ -45,8 +45,9 @@ class Network:
     edge_u: np.ndarray = field(repr=False, default=None)
     edge_v: np.ndarray = field(repr=False, default=None)
     lengths: np.ndarray = field(repr=False, default=None)
-    incidence: np.ndarray = field(repr=False, default=None)
-    adjacency: tuple = field(repr=False, default=None)
+    # flat (row-major n x n) Laplacian positions of each edge's (u,u), (v,v),
+    # (u,v) and (v,u) entries, edge after edge
+    laplacian_index: np.ndarray = field(repr=False, default=None)
     edge_index: dict = field(repr=False, default=None)
 
     @property
@@ -223,21 +224,13 @@ def new_network(
     edge_u = np.asarray([u for u, _, _ in canonical], dtype=np.intp)
     edge_v = np.asarray([v for _, v, _ in canonical], dtype=np.intp)
     lengths = np.asarray([l for _, _, l in canonical], dtype=float)
-    for arr in (edge_u, edge_v, lengths):
+    n = vertex_count
+    laplacian_index = np.column_stack(
+        [edge_u * n + edge_u, edge_v * n + edge_v, edge_u * n + edge_v, edge_v * n + edge_u]
+    ).ravel()
+    for arr in (edge_u, edge_v, lengths, laplacian_index):
         arr.flags.writeable = False
     sources.flags.writeable = False
-
-    m = len(canonical)
-    incidence = np.zeros((vertex_count, m))
-    incidence[edge_u, np.arange(m)] = 1.0
-    incidence[edge_v, np.arange(m)] = -1.0
-    incidence.flags.writeable = False
-
-    adjacency = [[] for _ in range(vertex_count)]
-    for eid, (u, v, _) in enumerate(canonical):
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-    adjacency = tuple(tuple(a) for a in adjacency)
 
     edge_index = {(u, v): eid for eid, (u, v, _) in enumerate(canonical)}
 
@@ -249,8 +242,7 @@ def new_network(
         edge_u=edge_u,
         edge_v=edge_v,
         lengths=lengths,
-        incidence=incidence,
-        adjacency=adjacency,
+        laplacian_index=laplacian_index,
         edge_index=edge_index,
     )
 
@@ -268,9 +260,19 @@ def edge_values(net: Network, C) -> np.ndarray:
     return values
 
 
-def min_edge_length(net: Network) -> float:
-    """Smallest edge length of the network (strictly positive)."""
-    return net.min_length
+#: signs of an edge's four Laplacian entries, in ``laplacian_index`` order
+_LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
+    """Dense Laplacian D - W of the per-edge ``weights`` (not validated).
+
+    Every entry adds its edges' weights in ascending edge order, so the
+    result is independent of BLAS blocking and thread count.
+    """
+    n = net.vertex_count
+    flat = (weights[:, None] * _LAPLACIAN_SIGNS).ravel()
+    return np.bincount(net.laplacian_index, flat, n * n).reshape(n, n)
 
 
 def active_edges(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> np.ndarray:

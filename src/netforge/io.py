@@ -52,8 +52,18 @@ def network_to_dict(net: Network) -> dict:
     return {"vertices": vertices, "edges": edges}
 
 
+def _object_list(doc, key: str) -> list:
+    """``doc[key]``, checked to be a list of JSON objects."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    entries = doc[key]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{key!r} must be a list of objects")
+    return entries
+
+
 def network_from_dict(doc: dict) -> Network:
-    vertices = doc["vertices"]
+    vertices = _object_list(doc, "vertices")
     ids = sorted(int(v["id"]) for v in vertices)
     if ids != list(range(len(vertices))):
         raise ValueError("vertex ids must be 0-based and dense")
@@ -69,7 +79,7 @@ def network_from_dict(doc: dict) -> Network:
             positions[i] = (float(v["x"]), float(v["y"]))
 
     edges = []
-    for e in doc["edges"]:
+    for e in _object_list(doc, "edges"):
         u, v = int(e["u"]), int(e["v"])
         if "length" in e and e["length"] is not None:
             length = float(e["length"])
@@ -104,7 +114,7 @@ def conductivities_to_dict(net: Network, C) -> dict:
 def conductivities_from_dict(net: Network, doc: dict) -> Conductivities:
     """Per-edge values from a document; edges absent from it default to 0."""
     values = np.zeros(net.edge_count)
-    for entry in doc["edges"]:
+    for entry in _object_list(doc, "edges"):
         u, v = int(entry["u"]), int(entry["v"])
         key = (u, v) if u < v else (v, u)
         if key not in net.edge_index:
@@ -174,10 +184,6 @@ def run_summary(run: OptimRun) -> dict:
         "termination": run.termination,
         "restarts": run.restarts,
     }
-
-
-def save_run_summary(run: OptimRun, path) -> None:
-    Path(path).write_text(json.dumps(run_summary(run), indent=1) + "\n")
 
 
 # ------------------------------------------------------------------- SVG

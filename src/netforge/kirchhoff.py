@@ -14,8 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .errors import DisconnectedSupportError, IllConditionedError
-from .graph import Network, connected_components, edge_values
-from .spectral import laplacian
+from .graph import Network, assemble_laplacian, edge_values, support_components
 
 #: per-component source balance is required within this fraction of max|S|
 COMPONENT_BALANCE_RTOL = 1e-10
@@ -40,12 +39,6 @@ class FlowSolution:
     solvable: bool
 
 
-def kirchhoff_system(net: Network, C):
-    """The symmetric operator and right-hand side of the flow-conservation
-    system: (L[C/L], S)."""
-    return laplacian(net, C, use_lengths=True), net.sources.copy()
-
-
 def deflated_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve lap @ P = rhs on the sum-zero subspace for a connected-support
     Laplacian, by adding a scaled all-ones rank-one term.
@@ -63,31 +56,37 @@ def deflated_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     _, P, info = dposv(lap + alpha / n, rhs)
     if info != 0:
         raise IllConditionedError("deflated operator is singular to working precision")
-    return P - P.sum() / n
+    P -= P.sum() / n
+    return P
 
 
-def _check_residual(lap, P, S, scale) -> None:
+def solve_pressures(lap, S, comps, scale) -> np.ndarray:
+    """Component-wise sum-zero solve of lap @ P = S for the support
+    components ``comps``, or None when some component's sources do not
+    balance within ``COMPONENT_BALANCE_RTOL * scale`` (the system is then
+    unsolvable).  A single component needs no balance check: a network's
+    sources balance by construction.
+
+    Raises IllConditionedError when a component operator is singular or
+    the residual exceeds ``RESIDUAL_RTOL * scale``.
+    """
+    if len(comps) == 1:
+        P = deflated_solve(lap, S)
+    else:
+        for comp in comps:
+            if abs(S[comp].sum()) > COMPONENT_BALANCE_RTOL * scale:
+                return None
+        P = np.zeros(lap.shape[0])
+        for comp in comps:
+            if comp.size == 1:
+                continue  # isolated balanced vertex: pressure 0
+            ix = np.ix_(comp, comp)
+            P[comp] = deflated_solve(lap[ix], S[comp])
     residual = np.abs(lap @ P - S).max()
     if residual > RESIDUAL_RTOL * scale:
         raise IllConditionedError(
             f"relative solve residual {residual / scale if scale else residual:.3e}"
         )
-
-
-def solve_pressures(lap, S, comps, balance_tol) -> np.ndarray:
-    """Component-wise sum-zero pressure solve, or None when some support
-    component's sources do not balance (the system is then unsolvable)."""
-    for comp in comps:
-        if abs(S[comp].sum()) > balance_tol:
-            return None
-    if len(comps) == 1:
-        return deflated_solve(lap, S)
-    P = np.zeros(lap.shape[0])
-    for comp in comps:
-        if comp.size == 1:
-            continue  # isolated balanced vertex: pressure 0
-        ix = np.ix_(comp, comp)
-        P[comp] = deflated_solve(lap[ix], S[comp])
     return P
 
 
@@ -104,29 +103,23 @@ def solve_kirchhoff(net: Network, C) -> FlowSolution:
     Raises
     ------
     IllConditionedError
-        If the assembled solution's residual exceeds ``RESIDUAL_RTOL *
-        max|S|`` - the signal for an optimizer to restart.
+        If a component operator is singular to working precision or the
+        assembled solution's residual exceeds ``RESIDUAL_RTOL * max|S|`` -
+        the signal for an optimizer to restart.
     """
     values = edge_values(net, C)
     S = net.sources
-    scale = np.abs(S).max() if S.size else 0.0
-
-    positive = values > 0.0
-    comps = connected_components(
-        net.vertex_count,
-        zip(net.edge_u[positive].tolist(), net.edge_v[positive].tolist()),
-    )
+    comps = support_components(net, values)
     components = tuple(tuple(comp.tolist()) for comp in comps)
 
-    weights = values / net.lengths
-    lap = (net.incidence * weights) @ net.incidence.T
-    P = solve_pressures(lap, S, comps, COMPONENT_BALANCE_RTOL * scale)
+    weights = values * (1.0 / net.lengths)
+    lap = assemble_laplacian(net, weights)
+    P = solve_pressures(lap, S, comps, np.abs(S).max() if S.size else 0.0)
     if P is None:
         nan_v = np.full(net.vertex_count, np.nan)
         nan_e = np.full(net.edge_count, np.nan)
         return FlowSolution(nan_v, nan_e, components, solvable=False)
 
-    _check_residual(lap, P, S, scale)
     fluxes = weights * (P[net.edge_u] - P[net.edge_v])
     return FlowSolution(P, fluxes, components, solvable=True)
 

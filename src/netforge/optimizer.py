@@ -20,18 +20,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
-from .energy import energy
-from .errors import DisconnectedSupportError
+from .energy import energy, kinetic_energy, metabolic_energy
+from .errors import DisconnectedSupportError, IllConditionedError
 from .graph import (
     Conductivities,
     ModelParams,
     Network,
-    connected_components,
+    assemble_laplacian,
     edge_values,
+    support_components,
 )
-from .kirchhoff import COMPONENT_BALANCE_RTOL, RESIDUAL_RTOL, solve_kirchhoff, solve_pressures
+from .kirchhoff import solve_kirchhoff, solve_pressures
 from .spectral import fiedler_pair, laplacian, spectral_decompose
 
 MAX_RESTARTS = 10
@@ -102,7 +102,8 @@ class TraceRecord:
 @dataclass
 class OptimRun:
     """Result of :func:`optimize`: best iterate, its record, the trace and the
-    termination status ('completed', 'restarted_then_completed', 'diverged')."""
+    termination status ('completed', 'restarted_then_completed', 'diverged',
+    or 'gave_up' after more than ``MAX_RESTARTS`` restarts)."""
 
     best_C: Conductivities
     best_F: float
@@ -136,6 +137,17 @@ def modified_energy(net: Network, C, params: ModelParams) -> float:
     return breakdown.total - robustness_coefficient(net, params) * fied
 
 
+def _projected_step(net: Network, C, P, vec, tau, inv_L, nu_L, coef) -> np.ndarray:
+    """max(0, C + tau ((P_u-P_v)^2/L - nu L + coef (v_u-v_v)^2)); ``vec`` is
+    only read when ``coef`` is nonzero."""
+    dp = P[net.edge_u] - P[net.edge_v]
+    direction = dp * dp * inv_L - nu_L
+    if coef != 0.0:
+        dv = vec[net.edge_u] - vec[net.edge_v]
+        direction += coef * dv * dv
+    return np.maximum(C + tau * direction, 0.0)
+
+
 def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conductivities:
     """One projected subgradient step of size tau:
 
@@ -150,15 +162,12 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
     sol = solve_kirchhoff(net, values)
     if not sol.solvable:
         raise DisconnectedSupportError("subgradient step needs a solvable flow state")
-
-    dp = sol.pressures[net.edge_u] - sol.pressures[net.edge_v]
-    direction = dp * dp / net.lengths - params.nu * net.lengths
     coef = robustness_coefficient(net, params)
-    if coef != 0.0:
-        res = spectral_decompose(laplacian(net, values))
-        dv = res.fiedler_vector[net.edge_u] - res.fiedler_vector[net.edge_v]
-        direction = direction + coef * dv * dv
-    return Conductivities(np.maximum(values + tau * direction, 0.0))
+    vec = spectral_decompose(laplacian(net, values)).fiedler_vector if coef != 0.0 else None
+    step = _projected_step(
+        net, values, sol.pressures, vec, tau, 1.0 / net.lengths, params.nu * net.lengths, coef
+    )
+    return Conductivities(step)
 
 
 def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun:
@@ -167,41 +176,34 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     Deterministic given (net, params, config): the only randomness is the
     uniform(0, 1) initialization on every edge, which guarantees a connected
     support at iterate 0.  Divergence (max(C) beyond 1e8 times the initial
-    scale) is reported through ``termination``, not raised.
+    scale) and more than ``MAX_RESTARTS`` restarts are reported through
+    ``termination``, not raised.  The pressures, energies and step come from
+    the same kernels as :func:`solve_kirchhoff`, :func:`energy` and
+    :func:`subgradient_step`.
+
+    Raises IllConditionedError when iterate 0 is already infeasible, so no
+    feasible iterate exists to restart from.
     """
     _require_linear_metabolic(params)
     if net.vertex_count < 2:
         raise ValueError("optimization needs at least two vertices")
 
-    n, m = net.vertex_count, net.edge_count
-    eu, ev = net.edge_u, net.edge_v
+    n = net.vertex_count
     L = net.lengths
     inv_L = 1.0 / L
-    B = net.incidence
+    nu_L = params.nu * L
     S = net.sources
     s_scale = float(np.abs(S).max())
-    bal_tol = COMPONENT_BALANCE_RTOL * s_scale
-    res_tol = RESIDUAL_RTOL * s_scale
-    nu = params.nu
     coef = robustness_coefficient(net, params)
     K = config.iters
-    stride = config.trace_stride
 
     rng = np.random.default_rng(config.seed)
-    C = rng.uniform(0.0, 1.0, m)
+    C = rng.uniform(0.0, 1.0, net.edge_count)
     divergence_cap = DIVERGENCE_FACTOR * max(1.0, float(C.max()))
 
-    def components_of(support):
-        return connected_components(
-            n, zip(eu[support].tolist(), ev[support].tolist())
-        )
-
-    support = C > 0.0
-    support_key = support.tobytes()
-    comps = components_of(support)
-    connected = len(comps) == 1
-    support_fresh = True
-    nu_L = nu * L
+    whole = [np.arange(n)]
+    support_key = (C > 0.0).tobytes()
+    comps = None  # components of the support of C; None until computed
 
     tau0 = config.tau0
     step_idx = 0
@@ -214,62 +216,47 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     k = 0
     while k <= K:
-        weighted = B * C
-        lap_flow = (weighted * inv_L) @ B.T
+        lap_flow = assemble_laplacian(net, C * inv_L)
 
-        w = V = lap_raw = None
+        w = V = None
         if coef != 0.0:
-            lap_raw = weighted @ B.T
+            lap_raw = assemble_laplacian(net, C)
             w, V = np.linalg.eigh(lap_raw)
 
-        if not support_fresh:
+        if comps is None:
             # a safely positive second eigenvalue of the raw Laplacian
             # certifies a connected support without a union-find pass
             if w is not None and w[1] > 1e-10 * lap_raw.diagonal().max():
-                connected = True
-                comps = None
+                comps = whole
             else:
-                comps = components_of(support)
-                connected = len(comps) == 1
-            support_fresh = True
+                comps = support_components(net, C)
 
-        if connected:
-            alpha = lap_flow.trace() / n
-            if not alpha > 0.0:
-                alpha = 1.0
-            _, P, info = dposv(lap_flow + alpha / n, S)
-            if info == 0:
-                P -= P.sum() / n
-            else:
-                P = None  # singular to working precision
-        else:
-            P = solve_pressures(lap_flow, S, comps, bal_tol)
-        feasible = P is not None
-        if feasible and np.abs(lap_flow @ P - S).max() > res_tol:
-            feasible = False  # ill-conditioned solve
+        try:
+            P = solve_pressures(lap_flow, S, comps, s_scale)
+        except IllConditionedError:
+            P = None
 
-        if not feasible:
+        if P is None:
             # left the solvable set (or the solve degraded): shrink the step
             # scale and resume from the best iterate.  The step index keeps
             # counting so the step size stays below its pre-restart value --
             # resetting it would re-enlarge the steps right next to the
             # boundary that caused the failure and cascade into more restarts.
+            if best_C is None:
+                raise IllConditionedError("the flow solve fails at iterate 0")
             restarts += 1
             if restarts > MAX_RESTARTS:
-                termination = "restarted_then_completed"
+                termination = "gave_up"
                 break
             tau0 *= config.restart_shrink
             C = best_C.copy()
-            support = C > 0.0
-            support_key = support.tobytes()
-            comps = components_of(support)
-            connected = len(comps) == 1
-            support_fresh = True
+            support_key = (C > 0.0).tobytes()
+            comps = None
             k += 1
             continue
 
-        e_kin = float(P @ S)
-        e_met = nu * float(C @ L)
+        e_kin = kinetic_energy(P, S)
+        e_met = metabolic_energy(C, L, params)
         e_tot = e_kin + e_met
 
         vec = None
@@ -281,9 +268,9 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             F = e_tot
 
         improved = F < best_F
-        if improved or k % stride == 0 or k == K:
+        if improved or k % config.trace_stride == 0 or k == K:
             if w is None:  # spectral summary only needed for the record
-                w, V = np.linalg.eigh(weighted @ B.T)
+                w, V = np.linalg.eigh(assemble_laplacian(net, C))
                 fied, _, mult = fiedler_pair(w, V)
             active = int(
                 np.count_nonzero(C > config.zero_threshold * max(float(C.max()), 1.0))
@@ -311,13 +298,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             break
 
         step_idx += 1
-        tau = tau0 / math.sqrt(step_idx)
-        dp = P[eu] - P[ev]
-        direction = dp * dp * inv_L - nu_L
-        if coef != 0.0:
-            dv = vec[eu] - vec[ev]
-            direction += coef * dv * dv
-        C = np.maximum(C + tau * direction, 0.0)
+        C = _projected_step(net, C, P, vec, tau0 / math.sqrt(step_idx), inv_L, nu_L, coef)
 
         if float(C.max()) > divergence_cap:
             termination = "diverged"
@@ -325,9 +306,8 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
         new_key = (C > 0.0).tobytes()
         if new_key != support_key:
-            support = C > 0.0
             support_key = new_key
-            support_fresh = False
+            comps = None
         k += 1
 
     if termination == "completed" and restarts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedSupportError, NonSymmetricError, TooLargeError
-from .graph import Network, edge_values, support_components
+from .graph import Network, assemble_laplacian, edge_values, support_components
 
 #: absolute / relative floor of the eigenvalue gap that still counts as a
 #: degenerate (multiple) Fiedler eigenvalue
@@ -55,13 +55,14 @@ def laplacian(net: Network, C, use_lengths: bool = False) -> np.ndarray:
     """Dense matrix Laplacian D - W of the weighted adjacency.
 
     With ``use_lengths`` the weights are C_e / L_e (the operator of the
-    flow-conservation linear system); without, the raw conductivities
-    (the operator whose second eigenvalue the robustness term rewards).
+    flow-conservation linear system, bit for bit); without, the raw
+    conductivities (the operator whose second eigenvalue the robustness term
+    rewards).
     """
     values = edge_values(net, C)
     if use_lengths:
-        values = values / net.lengths
-    return (net.incidence * values) @ net.incidence.T
+        values = values * (1.0 / net.lengths)
+    return assemble_laplacian(net, values)
 
 
 def gap_tolerance(fiedler: float) -> float:

@@ -28,6 +28,8 @@ from .graph import (
     ModelParams,
     Network,
     active_edges,
+    assemble_laplacian,
+    connected_components,
     edge_values,
 )
 from .kirchhoff import solve_kirchhoff
@@ -94,7 +96,7 @@ def spanning_tree_count(net: Network) -> int:
     unweighted Laplacian."""
     if net.vertex_count == 1:
         return 1
-    lap = net.incidence @ net.incidence.T
+    lap = assemble_laplacian(net, np.ones(net.edge_count))
     return int(round(np.linalg.det(lap[1:, 1:])))
 
 
@@ -235,21 +237,13 @@ def global_tree_search(net: Network, params: ModelParams, limit: int = TREE_LIMI
 
 
 def is_loop_free(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> bool:
-    """True when the active-edge subgraph of C is acyclic."""
-    parent = list(range(net.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in active_edges(net, C, threshold):
-        ru, rv = find(int(net.edge_u[eid])), find(int(net.edge_v[eid]))
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """True when the active-edge subgraph of C is acyclic, i.e. a forest:
+    exactly |V| - (number of components) edges."""
+    ids = active_edges(net, C, threshold)
+    comps = connected_components(
+        net.vertex_count, zip(net.edge_u[ids].tolist(), net.edge_v[ids].tolist())
+    )
+    return ids.size == net.vertex_count - len(comps)
 
 
 def _find_support_cycle(net: Network, values):

@@ -78,6 +78,22 @@ def test_optimize_divergence_exit_code(tmp_path):
     assert summary["termination"] == "diverged"
 
 
+def test_optimize_gave_up_exit_code(tmp_path):
+    gpath = tmp_path / "triangle.json"
+    nf.save_graph(nf.new_network(3, [(0, 1), (0, 2), (1, 2)], [1.0, -0.5, -0.5]), gpath)
+    code = main(
+        [
+            "optimize", "--graph", str(gpath),
+            "--nu", "1", "--tau0", "1e6",
+            "--iters", "300", "--seed", "0",
+            "--out", str(tmp_path / "gave_up"),
+        ]
+    )
+    assert code == 2
+    summary = json.loads((tmp_path / "gave_up" / "summary.json").read_text())
+    assert summary["termination"] == "gave_up"
+
+
 def test_sweep_outputs(triangle_file, tmp_path):
     out = tmp_path / "sweep"
     code = main(
@@ -150,6 +166,24 @@ def test_validation_error_json(tmp_path, capsys):
     assert main(["solve", "--graph", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnbalancedSourcesError"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": 5, "edges": []},
+        {"vertices": [{"id": 0, "source": 0.0}], "edges": {}},
+        {"vertices": [0, 1], "edges": []},
+        {"vertices": [{"id": 0, "source": 0.0}], "edges": [[0, 1]]},
+        [],
+    ],
+)
+def test_malformed_graph_document_json(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", "--graph", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
 
 
 def test_usage_error_json(capsys):

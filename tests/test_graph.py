@@ -57,18 +57,18 @@ def test_network_is_immutable():
 
 def test_min_edge_length():
     tri = nf.new_network(3, [(0, 1), (0, 2), (1, 2)], [1.0, -1.0, 0.0])
-    assert nf.min_edge_length(tri) == 1.0
+    assert tri.min_length == 1.0
     net = nf.new_network(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 5.0)], [1.0, -1.0, 0.0])
-    assert nf.min_edge_length(net) == 2.0
+    assert net.min_length == 2.0
     single = nf.new_network(2, [(0, 1, 0.25)], [1.0, -1.0])
-    assert nf.min_edge_length(single) == 0.25
+    assert single.min_length == 0.25
 
 
 def test_min_edge_length_bounds_every_edge():
     rng = np.random.default_rng(7)
     for _ in range(10):
         net = random_connected_network(rng)
-        assert all(nf.min_edge_length(net) <= length for _, _, length in net.edges)
+        assert all(net.min_length <= length for _, _, length in net.edges)
 
 
 def test_active_edges_examples():

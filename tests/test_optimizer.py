@@ -146,6 +146,36 @@ def test_optimize_divergence_detection():
     assert run.termination == "diverged"
 
 
+def test_optimize_infeasible_first_iterate_raises():
+    # lengths spanning 18 decades make the flow solve at the random
+    # initialization fail its residual check: nothing to restart from
+    net = nf.new_network(3, [(0, 1, 1e-9), (1, 2, 1e9), (0, 2, 1.0)], [1.0, 0.0, -1.0])
+    with pytest.raises(nf.IllConditionedError):
+        nf.optimize(net, LINEAR, nf.OptimConfig(iters=200))
+
+
+def test_optimize_reports_giving_up_after_max_restarts():
+    # the first step keeps only edge (0, 2) and cuts sink 1 off; ten halvings
+    # of the huge tau0 still leave a step that does so, so every restart
+    # fails until the restart budget runs out
+    net = triangle((1.0, -0.5, -0.5))
+    run = nf.optimize(net, LINEAR, nf.OptimConfig(tau0=1e6, iters=300, seed=0))
+    assert run.termination == "gave_up"
+    assert run.restarts == nf.optimizer.MAX_RESTARTS + 1
+    assert run.trace[-1].k == 0
+
+
+def test_optimize_shares_the_energy_kernels():
+    # optimize evaluates iterates through the same assembly, solve and energy
+    # formulas as the public functions, so they agree to the last bit
+    for net in (triangle(), nf.seven_node_network()):
+        for mu in (0.0, 0.5):
+            params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+            run = nf.optimize(net, params, nf.OptimConfig(iters=300, seed=1))
+            assert run.best_F == nf.modified_energy(net, run.best_C, params)
+            assert run.best_record.E == nf.energy(net, run.best_C, params).total
+
+
 def test_optimize_requires_linear_cost():
     with pytest.raises(ValueError):
         nf.optimize(triangle(), nf.ModelParams(gamma=0.5, nu=1.0), nf.OptimConfig(iters=10))

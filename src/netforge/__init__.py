@@ -24,6 +24,7 @@ from .errors import (
     NetforgeError,
     NetworkValidationError,
     NoCycleError,
+    NonFiniteError,
     NonpositiveLengthError,
     NonSymmetricError,
     NotStationaryError,

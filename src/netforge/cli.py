@@ -1,5 +1,14 @@
 """Command-line interface.
 
+``optimize`` and ``sweep`` take ``--graph``, ``--gamma`` (default 1),
+``--nu``, ``--tau0`` (0.1), ``--iters`` (100000), ``--seed`` (0),
+``--trace-stride`` (1000) and ``--out``; ``optimize`` adds ``--mu`` (0),
+``sweep`` adds ``--mu-list`` and ``--jobs`` (1) and seeds its runs
+consecutively from ``--seed``.  Every run writes ``best_c.json``,
+``trace.csv`` and ``summary.json`` with the keys gamma, nu, mu, tau0, iters,
+seed, best_F, E, E_kin, E_met, fiedler, multiplicity, active_edges,
+best_iteration, termination and restarts.
+
 Exit codes: 0 on success, 1 on validation or input errors (a machine-readable
 ``{"error": ..., "message": ...}`` JSON line goes to stderr), 2 when an
 optimizer run (any run of a sweep) ended ``diverged`` or ``gave_up``; its
@@ -14,13 +23,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import io
 from .datasets import leaf_network
 from .errors import NetforgeError
-from .graph import ModelParams
+from .graph import ACTIVE_EDGE_THRESHOLD, ModelParams
 from .kirchhoff import solve_kirchhoff
 from .optimizer import OptimConfig, optimize, sweep_mu
 from .trees import enumerate_spanning_trees, tree_local_minimizer
@@ -75,49 +83,35 @@ def _run_config(args) -> OptimConfig:
         iters=args.iters,
         seed=_seed(args.seed),
         trace_stride=args.trace_stride,
-        zero_threshold=args.zero_threshold,
     )
 
 
-def _write_run(net, run, params, config, outdir: Path) -> None:
+def _write_run(net, run, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     io.save_conductivities(net, run.best_C, outdir / "best_c.json")
     io.write_trace_csv(run, outdir / "trace.csv")
-    summary = {
-        "gamma": params.gamma,
-        "nu": params.nu,
-        "mu": params.mu,
-        "tau0": config.tau0,
-        "iters": config.iters,
-        "seed": config.seed,
-        **io.run_summary(run),
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
+    (outdir / "summary.json").write_text(json.dumps(io.run_summary(run), indent=1) + "\n")
 
 
 def _cmd_optimize(args) -> int:
     net = io.load_graph(args.graph)
-    params = ModelParams(gamma=args.gamma, nu=args.nu, mu=args.mu)
-    config = _run_config(args)
-    run = optimize(net, params, config)
-    _write_run(net, run, params, config, Path(args.out))
+    run = optimize(net, ModelParams(gamma=args.gamma, nu=args.nu, mu=args.mu), _run_config(args))
+    _write_run(net, run, Path(args.out))
     return 2 if run.termination in _FAILED_TERMINATIONS else 0
 
 
 def _cmd_sweep(args) -> int:
     net = io.load_graph(args.graph)
     params = ModelParams(gamma=args.gamma, nu=args.nu, mu=0.0)
-    config = _run_config(args)
     mu_values = [float(x) for x in args.mu_list.split(",") if x.strip() != ""]
     if not mu_values:
         raise ValueError("--mu-list is empty")
-    sweep = sweep_mu(net, params, mu_values, config, jobs=args.jobs)
+    sweep = sweep_mu(net, params, mu_values, _run_config(args), jobs=args.jobs)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, (mu, run) in enumerate(zip(sweep.mu_values, sweep.runs)):
-        rundir = outdir / f"run_{i:02d}_mu_{mu:g}"
-        _write_run(net, run, replace(params, mu=mu), replace(config, seed=config.seed + i), rundir)
+    for i, run in enumerate(sweep.runs):
+        _write_run(net, run, outdir / f"run_{i:02d}_mu_{run.params.mu:g}")
     io.write_sweep_csv(sweep, outdir / "summary.csv")
     failed = any(run.termination in _FAILED_TERMINATIONS for run in sweep.runs)
     return 2 if failed else 0
@@ -180,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trace-stride", type=int, default=1000)
-        p.add_argument("--zero-threshold", type=float, default=1e-8)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("optimize", help="projected subgradient minimization")
@@ -204,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw the network as SVG, width ~ sqrt(C)")
     p.add_argument("--graph", required=True)
     p.add_argument("--conductivities", required=True)
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=float, default=ACTIVE_EDGE_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 

@@ -21,6 +21,10 @@ class NonpositiveLengthError(NetworkValidationError):
     pass
 
 
+class NonFiniteError(NetworkValidationError):
+    """A source or edge length is NaN or infinite."""
+
+
 class UnbalancedSourcesError(NetworkValidationError):
     """Source/sink intensities do not sum to zero."""
 

@@ -8,6 +8,7 @@ structure of the conductivity matrix automatic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
+    NonFiniteError,
     NonpositiveLengthError,
     SelfLoopError,
     UnbalancedSourcesError,
@@ -172,7 +174,7 @@ def new_network(
 
     Raises
     ------
-    SelfLoopError, DuplicateEdgeError, NonpositiveLengthError,
+    SelfLoopError, DuplicateEdgeError, NonpositiveLengthError, NonFiniteError,
     UnbalancedSourcesError, DisconnectedGraphError
     """
     if vertex_count < 1:
@@ -192,6 +194,8 @@ def new_network(
             raise ValueError(f"edge ({u}, {v}) references a missing vertex")
         if u > v:
             u, v = v, u
+        if not math.isfinite(length):
+            raise NonFiniteError(f"edge ({u}, {v}) has length {length}")
         if not length > 0.0:
             raise NonpositiveLengthError(f"edge ({u}, {v}) has length {length}")
         canonical.append((u, v, length))
@@ -203,6 +207,8 @@ def new_network(
     sources = np.ascontiguousarray(sources, dtype=float)
     if sources.shape != (vertex_count,):
         raise ValueError("sources must have one entry per vertex")
+    if not np.all(np.isfinite(sources)):
+        raise NonFiniteError("sources must be finite")
     scale = np.abs(sources).max() if sources.size else 0.0
     if abs(sources.sum()) > BALANCE_RTOL * scale:
         raise UnbalancedSourcesError(
@@ -275,20 +281,25 @@ def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     return np.bincount(net.laplacian_index, flat, n * n).reshape(n, n)
 
 
-def active_edges(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> np.ndarray:
-    """Edge ids whose conductivity exceeds ``threshold * max(max(C), 1)``.
+def active_cutoff(values: np.ndarray, threshold: float = ACTIVE_EDGE_THRESHOLD) -> float:
+    """``threshold * max(max(values), 1)``: an edge whose conductivity exceeds
+    it counts as active.
 
     The cutoff is relative to the largest conductivity so that a uniform
     rescaling of C does not change which edges count as present, while
     all-small vectors fall back to an absolute cutoff of ``threshold``.
-    Returned ids are in ascending order; a larger threshold never yields
-    edges the smaller one missed.
     """
+    return threshold * max(float(values.max(initial=0.0)), 1.0)
+
+
+def active_edges(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> np.ndarray:
+    """Ascending ids of the edges whose conductivity exceeds
+    :func:`active_cutoff`; a larger threshold never yields edges the
+    smaller one missed."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     values = edge_values(net, C)
-    cut = threshold * max(values.max(initial=0.0), 1.0)
-    return np.flatnonzero(values > cut)
+    return np.flatnonzero(values > active_cutoff(values, threshold))
 
 
 def support_components(net: Network, C) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +19,17 @@ from .graph import (
     ACTIVE_EDGE_THRESHOLD,
     Conductivities,
     Network,
+    active_cutoff,
     edge_values,
     new_network,
 )
-from .optimizer import OptimRun, SweepResult
+from .optimizer import RECORD_FIELDS, SUMMARY_FIELDS, OptimRun, SweepResult
 
-TRACE_COLUMNS = (
-    "k", "F", "E", "E_kin", "E_met", "fiedler", "lambda2", "lambda3",
-    "multiplicity", "active_edges", "tau", "best",
-)
+TRACE_COLUMNS = (*RECORD_FIELDS, "best")
 
-SWEEP_COLUMNS = (
-    "mu", "F", "E", "E_kin", "E_met", "fiedler", "lambda2", "lambda3",
-    "multiplicity", "active_edges", "termination", "restarts",
-)
+SWEEP_COLUMNS = ("mu", *SUMMARY_FIELDS, "termination", "restarts")
+
+_record_values = attrgetter(*RECORD_FIELDS)
 
 
 # ---------------------------------------------------------------- graphs
@@ -62,9 +60,17 @@ def _object_list(doc, key: str) -> list:
     return entries
 
 
+def _number(entry: dict, key: str, kind=float):
+    """``kind(entry[key])``, with ValueError for values that are no number."""
+    try:
+        return kind(entry[key])
+    except (TypeError, OverflowError):
+        raise ValueError(f"{key!r} must be a number, got {entry[key]!r}") from None
+
+
 def network_from_dict(doc: dict) -> Network:
     vertices = _object_list(doc, "vertices")
-    ids = sorted(int(v["id"]) for v in vertices)
+    ids = sorted(_number(v, "id", int) for v in vertices)
     if ids != list(range(len(vertices))):
         raise ValueError("vertex ids must be 0-based and dense")
     n = len(vertices)
@@ -73,17 +79,19 @@ def network_from_dict(doc: dict) -> Network:
     has_xy = all("x" in v and "y" in v for v in vertices)
     positions = np.zeros((n, 2)) if has_xy else None
     for v in vertices:
-        i = int(v["id"])
-        sources[i] = float(v["source"])
+        i = _number(v, "id", int)
+        sources[i] = _number(v, "source")
         if has_xy:
-            positions[i] = (float(v["x"]), float(v["y"]))
+            positions[i] = (_number(v, "x"), _number(v, "y"))
 
     edges = []
     for e in _object_list(doc, "edges"):
-        u, v = int(e["u"]), int(e["v"])
+        u, v = _number(e, "u", int), _number(e, "v", int)
         if "length" in e and e["length"] is not None:
-            length = float(e["length"])
+            length = _number(e, "length")
         elif has_xy:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
             length = float(np.hypot(*(positions[u] - positions[v])))
         else:
             length = 1.0
@@ -115,11 +123,11 @@ def conductivities_from_dict(net: Network, doc: dict) -> Conductivities:
     """Per-edge values from a document; edges absent from it default to 0."""
     values = np.zeros(net.edge_count)
     for entry in _object_list(doc, "edges"):
-        u, v = int(entry["u"]), int(entry["v"])
+        u, v = _number(entry, "u", int), _number(entry, "v", int)
         key = (u, v) if u < v else (v, u)
         if key not in net.edge_index:
             raise ValueError(f"conductivity given for missing edge {key}")
-        values[net.edge_index[key]] = float(entry["c"])
+        values[net.edge_index[key]] = _number(entry, "c")
     return Conductivities(values)
 
 
@@ -133,46 +141,37 @@ def load_conductivities(net: Network, path) -> Conductivities:
 
 # ----------------------------------------------------------------- traces
 
-def _csv_cell(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+def _write_csv(path, columns, rows) -> None:
+    """CSV with a header; floats (nan and +-inf included) are written as
+    their shortest round-trip repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
 
 
 def write_trace_csv(run: OptimRun, path) -> None:
     """Iterate trace of one run; the row of the best iterate carries best=1."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in run.trace:
-            writer.writerow(
-                [
-                    _csv_cell(v)
-                    for v in (
-                        rec.k, rec.F, rec.E, rec.E_kin, rec.E_met, rec.fiedler,
-                        rec.lambda2, rec.lambda3, rec.multiplicity,
-                        rec.active_edges, rec.tau,
-                        1 if rec is run.best_record else 0,
-                    )
-                ]
-            )
+    best = run.best_record
+    _write_csv(path, TRACE_COLUMNS, ((*_record_values(rec), int(rec is best)) for rec in run.trace))
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in sweep.summary:
-            writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
+    _write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in sweep.summary))
 
 
 def run_summary(run: OptimRun) -> dict:
+    """The ``summary.json`` document of one run: its parameters, then the
+    best iterate's values, termination and restart count."""
     rec = run.best_record
     return {
+        "gamma": run.params.gamma,
+        "nu": run.params.nu,
+        "mu": run.params.mu,
+        "tau0": run.config.tau0,
+        "iters": run.config.iters,
+        "seed": run.config.seed,
         "best_F": run.best_F,
         "E": rec.E,
         "E_kin": rec.E_kin,
@@ -229,7 +228,7 @@ def render_svg(
         widths = {eid: 1.0 for eid in range(net.edge_count)}
     else:
         values = edge_values(net, C)
-        cut = threshold * max(float(values.max(initial=0.0)), 1.0)
+        cut = active_cutoff(values, threshold)
         peak = math.sqrt(values.max()) if values.size and values.max() > 0 else 1.0
         widths = {
             eid: 8.0 * math.sqrt(values[eid]) / peak

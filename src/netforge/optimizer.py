@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .graph import (
     Conductivities,
     ModelParams,
     Network,
+    active_cutoff,
     assemble_laplacian,
     edge_values,
     support_components,
@@ -35,6 +36,9 @@ from .kirchhoff import solve_kirchhoff, solve_pressures
 from .spectral import fiedler_pair, laplacian, spectral_decompose
 
 MAX_RESTARTS = 10
+
+#: factor applied to tau0 on every restart
+RESTART_SHRINK = 0.5
 
 #: the run counts as diverged once max(C) exceeds this times the initial scale
 DIVERGENCE_FACTOR = 1e8
@@ -51,10 +55,6 @@ class OptimConfig:
         0 .. K are evaluated.
     seed
         Seed of the uniform(0, 1) conductivity initialization.
-    restart_shrink
-        Factor applied to tau0 on every restart.
-    zero_threshold
-        Relative cutoff used when counting active edges in the trace.
     trace_stride
         A trace record is stored every this many iterations, at every
         improvement of the best value, and at the final iterate.
@@ -63,8 +63,6 @@ class OptimConfig:
     tau0: float = 0.1
     iters: int = 100_000
     seed: int = 0
-    restart_shrink: float = 0.5
-    zero_threshold: float = 1e-8
     trace_stride: int = 1000
 
     def __post_init__(self):
@@ -74,17 +72,18 @@ class OptimConfig:
             raise ValueError("iters must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not 0.0 < self.restart_shrink < 1.0:
-            raise ValueError("restart_shrink must lie in (0, 1)")
-        if self.zero_threshold < 0:
-            raise ValueError("zero_threshold must be nonnegative")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be positive")
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One evaluated iterate: objective values, spectral summary and step."""
+    """One evaluated iterate: objective values, spectral summary and step.
+
+    ``active_edges`` counts the edges above :func:`graph.active_cutoff`.
+    Its fields are the report columns: trace rows carry all of them, sweep
+    summary rows all but ``k`` and ``tau`` (``SUMMARY_FIELDS``).
+    """
 
     k: int
     F: float
@@ -99,11 +98,16 @@ class TraceRecord:
     tau: float
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+SUMMARY_FIELDS = tuple(name for name in RECORD_FIELDS if name not in ("k", "tau"))
+
+
 @dataclass
 class OptimRun:
-    """Result of :func:`optimize`: best iterate, its record, the trace and the
+    """Result of :func:`optimize`: best iterate, its record, the trace, the
     termination status ('completed', 'restarted_then_completed', 'diverged',
-    or 'gave_up' after more than ``MAX_RESTARTS`` restarts)."""
+    or 'gave_up' after more than ``MAX_RESTARTS`` restarts) and the
+    ``params`` and ``config`` the run was made with."""
 
     best_C: Conductivities
     best_F: float
@@ -111,6 +115,8 @@ class OptimRun:
     trace: list
     termination: str
     restarts: int
+    params: ModelParams
+    config: OptimConfig
 
 
 def _require_linear_metabolic(params: ModelParams) -> None:
@@ -248,7 +254,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             if restarts > MAX_RESTARTS:
                 termination = "gave_up"
                 break
-            tau0 *= config.restart_shrink
+            tau0 *= RESTART_SHRINK
             C = best_C.copy()
             support_key = (C > 0.0).tobytes()
             comps = None
@@ -272,9 +278,6 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             if w is None:  # spectral summary only needed for the record
                 w, V = np.linalg.eigh(assemble_laplacian(net, C))
                 fied, _, mult = fiedler_pair(w, V)
-            active = int(
-                np.count_nonzero(C > config.zero_threshold * max(float(C.max()), 1.0))
-            )
             rec = TraceRecord(
                 k=k,
                 F=F,
@@ -285,7 +288,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
                 lambda2=float(w[2]) if n > 2 else math.nan,
                 lambda3=float(w[3]) if n > 3 else math.nan,
                 multiplicity=mult,
-                active_edges=active,
+                active_edges=int(np.count_nonzero(C > active_cutoff(C))),
                 tau=tau0 / math.sqrt(step_idx + 1),
             )
             trace.append(rec)
@@ -320,6 +323,8 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         trace=trace,
         termination=termination,
         restarts=restarts,
+        params=params,
+        config=config,
     )
 
 
@@ -332,47 +337,27 @@ class SweepResult:
     summary: list = field(default_factory=list)
 
 
-def _sweep_task(args):
-    net, params, config = args
-    return optimize(net, params, config)
-
-
 def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimConfig, jobs: int = 1) -> SweepResult:
-    """One optimizer run per mu value, with per-run seeds derived from the
-    base seed (seed + index).  Runs are independent and may execute in
-    parallel worker processes (``jobs`` > 1)."""
-    mu_values = tuple(float(mu) for mu in mu_values)
-    tasks = [
-        (
-            net,
-            replace(params_base, mu=mu),
-            replace(config, seed=config.seed + i),
-        )
-        for i, mu in enumerate(mu_values)
-    ]
+    """One optimizer run per mu value, run ``i`` seeded with ``config.seed +
+    i``.  Runs are independent and may execute in parallel worker processes
+    (``jobs`` > 1).  Each summary row holds the run's mu, the
+    ``SUMMARY_FIELDS`` of its best record, its termination and restarts."""
+    params = [replace(params_base, mu=float(mu)) for mu in mu_values]
+    configs = [replace(config, seed=config.seed + i) for i in range(len(params))]
+    nets = [net] * len(params)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_sweep_task, tasks))
+            runs = list(pool.map(optimize, nets, params, configs))
     else:
-        runs = [_sweep_task(t) for t in tasks]
+        runs = list(map(optimize, nets, params, configs))
 
-    summary = []
-    for mu, run in zip(mu_values, runs):
-        rec = run.best_record
-        summary.append(
-            {
-                "mu": mu,
-                "F": rec.F,
-                "E": rec.E,
-                "E_kin": rec.E_kin,
-                "E_met": rec.E_met,
-                "fiedler": rec.fiedler,
-                "lambda2": rec.lambda2,
-                "lambda3": rec.lambda3,
-                "multiplicity": rec.multiplicity,
-                "active_edges": rec.active_edges,
-                "termination": run.termination,
-                "restarts": run.restarts,
-            }
-        )
-    return SweepResult(mu_values=mu_values, runs=runs, summary=summary)
+    summary = [
+        {
+            "mu": run.params.mu,
+            **{name: getattr(run.best_record, name) for name in SUMMARY_FIELDS},
+            "termination": run.termination,
+            "restarts": run.restarts,
+        }
+        for run in runs
+    ]
+    return SweepResult(mu_values=tuple(p.mu for p in params), runs=runs, summary=summary)

@@ -32,6 +32,7 @@ from .graph import (
     connected_components,
     edge_values,
 )
+from .energy import metabolic_energy
 from .kirchhoff import solve_kirchhoff
 
 #: default cap on the estimated number of trees the enumerator will visit
@@ -214,14 +215,11 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
 
     mask = values > 0.0
     kinetic = float(np.sum(fluxes[mask] ** 2 / values[mask] * net.lengths[mask]))
-    metabolic = float(
-        params.nu / params.gamma * np.sum(values**params.gamma * net.lengths)
-    )
     return TreeSolution(
         tree=tree,
         fluxes=fluxes,
         conductivities=Conductivities(values),
-        energy=kinetic + metabolic,
+        energy=kinetic + metabolic_energy(values, net.lengths, params),
     )
 
 

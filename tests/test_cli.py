@@ -111,6 +111,28 @@ def test_sweep_outputs(triangle_file, tmp_path):
     assert (out / "run_01_mu_0.8" / "trace.csv").exists()
 
 
+def test_summary_json_carries_each_runs_params_and_config(triangle_file, tmp_path):
+    out = tmp_path / "sweep"
+    main(["sweep", "--graph", str(triangle_file), "--nu", "1", "--mu-list", "0.25,0.5",
+          "--tau0", "0.2", "--iters", "200", "--seed", "7", "--out", str(out)])
+    keys = [
+        "gamma", "nu", "mu", "tau0", "iters", "seed", "best_F", "E", "E_kin", "E_met",
+        "fiedler", "multiplicity", "active_edges", "best_iteration", "termination", "restarts",
+    ]
+    for i, name in enumerate(["run_00_mu_0.25", "run_01_mu_0.5"]):
+        summary = json.loads((out / name / "summary.json").read_text())
+        assert list(summary) == keys
+        assert (summary["mu"], summary["seed"]) == ((0.25, 0.5)[i], 7 + i)
+        assert (summary["tau0"], summary["iters"]) == (0.2, 200)
+
+
+def test_optimize_help_lists_only_config_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["optimize", "--help"])
+    text = capsys.readouterr().out
+    assert "--trace-stride" in text and "--zero-threshold" not in text
+
+
 def test_trees_table(triangle_file, capsys):
     assert main(["trees", "--graph", str(triangle_file), "--gamma", "1", "--nu", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -176,6 +198,11 @@ def test_validation_error_json(tmp_path, capsys):
         {"vertices": [0, 1], "edges": []},
         {"vertices": [{"id": 0, "source": 0.0}], "edges": [[0, 1]]},
         [],
+        {"vertices": [{"id": None, "source": 0}], "edges": []},
+        {"vertices": [{"id": 0, "source": {}}], "edges": []},
+        {"vertices": [{"id": 0, "source": 0}, {"id": 1, "source": 0}], "edges": [{"u": [1], "v": 0}]},
+        {"vertices": [{"id": 0, "x": 0, "y": 0, "source": 0}], "edges": [{"u": 0, "v": 5}]},
+        {"vertices": [{"id": 0, "source": 10**400}], "edges": []},
     ],
 )
 def test_malformed_graph_document_json(tmp_path, capsys, doc):
@@ -184,6 +211,29 @@ def test_malformed_graph_document_json(tmp_path, capsys, doc):
     assert main(["solve", "--graph", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"u": 0, "v": 1, "c": None}, {"u": 0, "v": 1, "c": [1]}, {"u": None, "v": 1, "c": 1.0}],
+)
+def test_malformed_conductivity_document_json(triangle_file, tmp_path, capsys, entry):
+    bad = tmp_path / "c.json"
+    bad.write_text(json.dumps({"edges": [entry]}))
+    assert main(["solve", "--graph", str(triangle_file), "--conductivities", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+
+
+def test_nonfinite_source_json(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({
+        "vertices": [{"id": 0, "source": float("nan")}, {"id": 1, "source": 0.0}],
+        "edges": [{"u": 0, "v": 1}],
+    }))
+    assert main(["solve", "--graph", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteError"
 
 
 def test_usage_error_json(capsys):

@@ -36,6 +36,19 @@ def test_nonpositive_length_rejected():
         nf.new_network(2, [(0, 1, 0.0)], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("sources", [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [1.0, 0.0, -np.inf]])
+def test_nonfinite_sources_rejected(sources):
+    with pytest.raises(nf.NonFiniteError):
+        nf.new_network(3, [(0, 1), (1, 2)], sources)
+
+
+@pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan])
+def test_nonfinite_length_rejected(length):
+    with pytest.raises(nf.NonFiniteError):
+        nf.new_network(3, [(0, 1, length), (1, 2)], [1.0, 0.0, -1.0])
+    assert issubclass(nf.NonFiniteError, nf.NetworkValidationError)
+
+
 def test_disconnected_graph_rejected():
     with pytest.raises(nf.DisconnectedGraphError):
         nf.new_network(4, [(0, 1), (2, 3)], [1.0, -1.0, 0.5, -0.5])

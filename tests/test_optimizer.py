@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,32 @@ def test_sweep_summary_and_seeds():
     # per-run seeds are derived from the base seed: rerunning matches
     again = nf.sweep_mu(triangle(), LINEAR, [0.0, 0.8], config)
     assert [r.best_F for r in again.runs] == [r.best_F for r in sweep.runs]
+
+
+def test_parallel_sweep_matches_serial():
+    # each run carries its own mu and seed + index, also through the pool
+    net = nf.seven_node_network()
+    config = nf.OptimConfig(iters=400, seed=2, trace_stride=50)
+    serial = nf.sweep_mu(net, LINEAR, [0.0, 0.4, 1.0], config, jobs=1)
+    parallel = nf.sweep_mu(net, LINEAR, [0.0, 0.4, 1.0], config, jobs=2)
+    assert [run.params.mu for run in serial.runs] == [0.0, 0.4, 1.0]
+    assert [run.config for run in serial.runs] == [
+        nf.OptimConfig(iters=400, seed=seed, trace_stride=50) for seed in (2, 3, 4)
+    ]
+    assert parallel.mu_values == serial.mu_values
+    assert parallel.summary == serial.summary
+    for a, b in zip(serial.runs, parallel.runs):
+        assert b.best_F == a.best_F
+        assert np.array_equal(b.best_C.values, a.best_C.values)
+        assert b.trace == a.trace
+        assert b.best_record == a.best_record
+        assert (b.params, b.config) == (a.params, a.config)
+        assert (b.termination, b.restarts) == (a.termination, a.restarts)
+
+
+def test_optim_config_fields():
+    names = [f.name for f in dataclasses.fields(nf.OptimConfig)]
+    assert names == ["tau0", "iters", "seed", "trace_stride"]
 
 
 def test_convexity_of_modified_energy_midpoints():

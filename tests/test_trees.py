@@ -102,6 +102,20 @@ def test_tree_minimizer_stationarity_sublinear():
         assert np.all(np.isinf(grad[off])) and np.all(grad[off] > 0)
 
 
+def test_tree_energy_matches_general_energy_on_seven_node_trees():
+    # the tree energy uses the shared metabolic formula and the solve-free
+    # kinetic sum; it must agree with the general evaluation on a fixed
+    # sample of 174 of the 16807 trees
+    net = nf.seven_node_network()
+    trees = list(nf.enumerate_spanning_trees(net))[::97]
+    for gamma in (1.0, 0.5):
+        params = nf.ModelParams(gamma=gamma, nu=1.0)
+        for tree in trees:
+            sol = nf.tree_local_minimizer(net, tree, params)
+            expected = nf.energy(net, sol.conductivities, params).total
+            assert sol.energy == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 # ------------------------------------------------------------ enumeration
 
 def test_triangle_has_three_trees():

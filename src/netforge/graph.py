@@ -170,7 +170,7 @@ def new_network(
         Source/sink intensity per vertex; must sum to zero within
         ``BALANCE_RTOL * max|S|``.
     positions : array_like of shape (vertex_count, 2), optional
-        Plot-only 2D coordinates; they never influence any computation.
+        Plot-only finite 2D coordinates; they never influence any computation.
 
     Raises
     ------
@@ -219,6 +219,8 @@ def new_network(
         positions = np.ascontiguousarray(positions, dtype=float)
         if positions.shape != (vertex_count, 2):
             raise ValueError("positions must have shape (vertex_count, 2)")
+        if not np.all(np.isfinite(positions)):
+            raise NonFiniteError("positions must be finite")
         positions.flags.writeable = False
 
     comps = connected_components(vertex_count, [(u, v) for u, v, _ in canonical])

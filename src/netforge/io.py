@@ -61,11 +61,16 @@ def _object_list(doc, key: str) -> list:
 
 
 def _number(entry: dict, key: str, kind=float):
-    """``kind(entry[key])``, with ValueError for values that are no number."""
+    """``kind(entry[key])``, with ValueError for values that are no number
+    and, for ``kind=int``, for floats that are not whole numbers."""
+    value = entry[key]
     try:
-        return kind(entry[key])
+        number = kind(value)
     except (TypeError, OverflowError):
-        raise ValueError(f"{key!r} must be a number, got {entry[key]!r}") from None
+        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+    return number
 
 
 def network_from_dict(doc: dict) -> Network:

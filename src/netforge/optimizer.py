@@ -56,8 +56,8 @@ class OptimConfig:
     seed
         Seed of the uniform(0, 1) conductivity initialization.
     trace_stride
-        A trace record is stored every this many iterations, at every
-        improvement of the best value, and at the final iterate.
+        A trace record is stored every this many iterations, at the final
+        iterate and at the best one: at most iters // trace_stride + 3.
     """
 
     tau0: float = 0.1
@@ -176,6 +176,27 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
     return Conductivities(step)
 
 
+def _record(net: Network, C, k, F, e_kin, e_met, tau, w, fied, mult) -> TraceRecord:
+    """The record of iterate ``k``; the raw-Laplacian spectrum (``w``, ``fied``,
+    ``mult``) is computed here only when the loop had none (mu = 0)."""
+    if w is None:
+        w, V = np.linalg.eigh(assemble_laplacian(net, C))
+        fied, _, mult = fiedler_pair(w, V)
+    return TraceRecord(
+        k=k,
+        F=F,
+        E=e_kin + e_met,
+        E_kin=e_kin,
+        E_met=e_met,
+        fiedler=fied,
+        lambda2=float(w[2]) if w.size > 2 else math.nan,
+        lambda3=float(w[3]) if w.size > 3 else math.nan,
+        multiplicity=mult,
+        active_edges=int(np.count_nonzero(C > active_cutoff(C))),
+        tau=tau,
+    )
+
+
 def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun:
     """Run the projected subgradient method.
 
@@ -185,7 +206,9 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     scale) and more than ``MAX_RESTARTS`` restarts are reported through
     ``termination``, not raised.  The pressures, energies and step come from
     the same kernels as :func:`solve_kirchhoff`, :func:`energy` and
-    :func:`subgradient_step`.
+    :func:`subgradient_step`.  The trace holds the records of iterates 0, s,
+    2s, ... (s = ``trace_stride``), K and the best one (``best_record``, built
+    after the loop), in k order and once each.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
     feasible iterate exists to restart from.
@@ -194,7 +217,6 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     if net.vertex_count < 2:
         raise ValueError("optimization needs at least two vertices")
 
-    n = net.vertex_count
     L = net.lengths
     inv_L = 1.0 / L
     nu_L = params.nu * L
@@ -207,7 +229,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     C = rng.uniform(0.0, 1.0, net.edge_count)
     divergence_cap = DIVERGENCE_FACTOR * max(1.0, float(C.max()))
 
-    whole = [np.arange(n)]
+    whole = [np.arange(net.vertex_count)]
     support_key = (C > 0.0).tobytes()
     comps = None  # components of the support of C; None until computed
 
@@ -216,7 +238,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     restarts = 0
     best_F = math.inf
     best_C = None
-    best_record = None
+    best = None  # record arguments of the best iterate; holding its n x n V would slow the loop
     trace = []
     termination = "completed"
 
@@ -224,7 +246,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     while k <= K:
         lap_flow = assemble_laplacian(net, C * inv_L)
 
-        w = V = None
+        w = V = vec = fied = mult = None
         if coef != 0.0:
             lap_raw = assemble_laplacian(net, C)
             w, V = np.linalg.eigh(lap_raw)
@@ -263,45 +285,25 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
         e_kin = kinetic_energy(P, S)
         e_met = metabolic_energy(C, L, params)
-        e_tot = e_kin + e_met
+        F = e_kin + e_met
 
-        vec = None
-        fied = mult = None
         if coef != 0.0:
             fied, vec, mult = fiedler_pair(w, V)
-            F = e_tot - coef * fied
-        else:
-            F = e_tot
+            F -= coef * fied
 
-        improved = F < best_F
-        if improved or k % config.trace_stride == 0 or k == K:
-            if w is None:  # spectral summary only needed for the record
-                w, V = np.linalg.eigh(assemble_laplacian(net, C))
-                fied, _, mult = fiedler_pair(w, V)
-            rec = TraceRecord(
-                k=k,
-                F=F,
-                E=e_tot,
-                E_kin=e_kin,
-                E_met=e_met,
-                fiedler=fied,
-                lambda2=float(w[2]) if n > 2 else math.nan,
-                lambda3=float(w[3]) if n > 3 else math.nan,
-                multiplicity=mult,
-                active_edges=int(np.count_nonzero(C > active_cutoff(C))),
-                tau=tau0 / math.sqrt(step_idx + 1),
-            )
-            trace.append(rec)
-            if improved:
-                best_F = F
-                best_C = C.copy()
-                best_record = rec
+        tau = tau0 / math.sqrt(step_idx + 1)
+        if F < best_F:
+            best_F = F
+            best_C = C.copy()
+            best = (k, F, e_kin, e_met, tau, w, fied, mult)
+        if k % config.trace_stride == 0 or k == K:
+            trace.append(_record(net, C, k, F, e_kin, e_met, tau, w, fied, mult))
 
         if k == K:
             break
 
         step_idx += 1
-        C = _projected_step(net, C, P, vec, tau0 / math.sqrt(step_idx), inv_L, nu_L, coef)
+        C = _projected_step(net, C, P, vec, tau, inv_L, nu_L, coef)
 
         if float(C.max()) > divergence_cap:
             termination = "diverged"
@@ -315,6 +317,9 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     if termination == "completed" and restarts:
         termination = "restarted_then_completed"
+
+    best_record = _record(net, best_C, *best)
+    trace = sorted({rec.k: rec for rec in [*trace, best_record]}.values(), key=lambda rec: rec.k)
 
     return OptimRun(
         best_C=Conductivities(best_C),

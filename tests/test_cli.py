@@ -203,6 +203,8 @@ def test_validation_error_json(tmp_path, capsys):
         {"vertices": [{"id": 0, "source": 0}, {"id": 1, "source": 0}], "edges": [{"u": [1], "v": 0}]},
         {"vertices": [{"id": 0, "x": 0, "y": 0, "source": 0}], "edges": [{"u": 0, "v": 5}]},
         {"vertices": [{"id": 0, "source": 10**400}], "edges": []},
+        {"vertices": [{"id": 0, "source": 0}, {"id": 1, "source": 0}], "edges": [{"u": 0.9, "v": 1.7}]},
+        {"vertices": [{"id": 0.5, "source": 0}], "edges": []},
     ],
 )
 def test_malformed_graph_document_json(tmp_path, capsys, doc):
@@ -215,7 +217,12 @@ def test_malformed_graph_document_json(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize(
     "entry",
-    [{"u": 0, "v": 1, "c": None}, {"u": 0, "v": 1, "c": [1]}, {"u": None, "v": 1, "c": 1.0}],
+    [
+        {"u": 0, "v": 1, "c": None},
+        {"u": 0, "v": 1, "c": [1]},
+        {"u": None, "v": 1, "c": 1.0},
+        {"u": 0.9, "v": 1.7, "c": 1.0},
+    ],
 )
 def test_malformed_conductivity_document_json(triangle_file, tmp_path, capsys, entry):
     bad = tmp_path / "c.json"

@@ -49,6 +49,12 @@ def test_nonfinite_length_rejected(length):
     assert issubclass(nf.NonFiniteError, nf.NetworkValidationError)
 
 
+@pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+def test_nonfinite_positions_rejected(coord):
+    with pytest.raises(nf.NonFiniteError):
+        nf.new_network(2, [(0, 1)], [1.0, -1.0], positions=[[0.0, coord], [1.0, 1.0]])
+
+
 def test_disconnected_graph_rejected():
     with pytest.raises(nf.DisconnectedGraphError):
         nf.new_network(4, [(0, 1), (2, 3)], [1.0, -1.0, 0.5, -0.5])

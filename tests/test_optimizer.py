@@ -139,6 +139,31 @@ def test_optimize_records_stride_and_final():
     assert {0, 100, 200, 300, 400, 500} <= ks
 
 
+@pytest.mark.parametrize("mu, iters, stride", [(0.0, 2500, 1000), (0.0, 500, 7), (0.6, 2500, 1000), (0.6, 500, 7)])
+def test_optimize_trace_holds_stride_final_and_best_records_only(monkeypatch, mu, iters, stride):
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(mat):
+        solves.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+    run = nf.optimize(nf.seven_node_network(), params, nf.OptimConfig(iters=iters, seed=1, trace_stride=stride))
+    assert run.termination == "completed"
+    ks = [rec.k for rec in run.trace]
+    assert ks == sorted({*range(0, iters + 1, stride), iters, run.best_record.k})
+    assert len(run.trace) <= iters // stride + 3
+    assert sum(rec is run.best_record for rec in run.trace) == 1
+    assert run.best_record.F == run.best_F
+    if mu == 0.0:
+        # eigensolves only for the records: stride points, K, and the best
+        assert len(solves) <= len(run.trace) + 1
+    else:
+        assert len(solves) == iters + 1
+
+
 def test_optimize_divergence_detection():
     # with mu > nu on a single edge the update direction is bounded below by
     # mu - nu > 0, so a huge tau0 drives the conductivity past the cap
@@ -163,7 +188,8 @@ def test_optimize_reports_giving_up_after_max_restarts():
     run = nf.optimize(net, LINEAR, nf.OptimConfig(tau0=1e6, iters=300, seed=0))
     assert run.termination == "gave_up"
     assert run.restarts == nf.optimizer.MAX_RESTARTS + 1
-    assert run.trace[-1].k == 0
+    assert [rec.k for rec in run.trace] == [0]
+    assert run.trace[0] is run.best_record and run.best_record.F == run.best_F
 
 
 def test_optimize_shares_the_energy_kernels():

@@ -82,3 +82,49 @@ def test_kinetic_energy_scales_inversely_with_conductivity(net, seed, t):
     base = nf.energy(net, C, params).kinetic
     scaled = nf.energy(net, t * C, params).kinetic
     assert np.isclose(scaled, base / t, rtol=1e-9, atol=0.0)
+
+
+def _relabel(net, perm):
+    """``net`` with vertex i renamed ``perm[i]``, and the new id of each of
+    its edges."""
+    edges = [(perm[u], perm[v], length) for u, v, length in net.edges]
+    sources = np.empty(net.vertex_count)
+    sources[perm] = net.sources
+    positions = None
+    if net.positions is not None:
+        positions = np.empty_like(net.positions)
+        positions[perm] = net.positions
+    relabeled = nf.new_network(net.vertex_count, edges, sources, positions)
+    eids = [relabeled.edge_index[tuple(sorted((perm[u], perm[v])))] for u, v, _ in net.edges]
+    return relabeled, eids
+
+
+@PROPERTY_SETTINGS
+@given(networks(min_length=0.5, max_length=2.0), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_relabeling_vertices_permutes_pressures_and_keeps_energies(net, random, seed):
+    perm = list(range(net.vertex_count))
+    random.shuffle(perm)
+    relabeled, eids = _relabel(net, perm)
+    C = np.random.default_rng(seed).uniform(0.1, 2.0, net.edge_count)
+    C_relabeled = np.empty_like(C)
+    C_relabeled[eids] = C
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=0.5)
+
+    assert np.isclose(nf.energy(relabeled, C_relabeled, params).total, nf.energy(net, C, params).total,
+                      rtol=1e-12, atol=0.0)
+    assert np.isclose(nf.modified_energy(relabeled, C_relabeled, params), nf.modified_energy(net, C, params),
+                      rtol=1e-12, atol=0.0)
+    P = nf.solve_kirchhoff(net, C).pressures
+    P_relabeled = nf.solve_kirchhoff(relabeled, C_relabeled).pressures
+    assert np.allclose(P_relabeled[perm], P, rtol=0.0, atol=1e-12 * np.abs(P).max())
+
+
+@PROPERTY_SETTINGS
+@given(networks(min_length=0.5, max_length=2.0), st.integers(0, 2**32 - 1))
+def test_fluxes_conserve_flow_at_every_vertex(net, seed):
+    # B Q = S: the flux divergence at each vertex is its source
+    C = np.random.default_rng(seed).uniform(0.1, 2.0, net.edge_count)
+    Q = nf.solve_kirchhoff(net, C).fluxes
+    n = net.vertex_count
+    divergence = np.bincount(net.edge_u, Q, n) - np.bincount(net.edge_v, Q, n)
+    assert np.abs(divergence - net.sources).max() <= 1e-9 * np.abs(net.sources).max()

@@ -25,13 +25,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .datasets import leaf_network
 from .errors import NetforgeError
 from .graph import ACTIVE_EDGE_THRESHOLD, ModelParams
 from .kirchhoff import solve_kirchhoff
 from .optimizer import OptimConfig, optimize, sweep_mu
-from .trees import enumerate_spanning_trees, tree_local_minimizer
+from .trees import tree_energy_blocks
 
 
 #: run terminations that make ``optimize`` and ``sweep`` exit with code 2
@@ -52,8 +54,7 @@ def _seed(value: int) -> int:
     return int(env) if env is not None else value
 
 
-def _emit(doc: dict, out) -> None:
-    text = json.dumps(doc, indent=1) + "\n"
+def _emit(text: str, out) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -73,7 +74,7 @@ def _cmd_solve(args) -> int:
         "pressures": [None if math.isnan(p) else p for p in sol.pressures.tolist()],
         "fluxes": [None if math.isnan(q) else q for q in sol.fluxes.tolist()],
     }
-    _emit(doc, args.out)
+    _emit(json.dumps(doc, indent=1) + "\n", args.out)
     return 0
 
 
@@ -120,24 +121,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_trees(args) -> int:
     net = io.load_graph(args.graph)
     params = ModelParams(gamma=args.gamma, nu=args.nu, mu=0.0)
-    ranked = sorted(
-        (
-            (sol.energy, sol.tree.edge_ids)
-            for sol in (
-                tree_local_minimizer(net, tree, params)
-                for tree in enumerate_spanning_trees(net, args.limit)
-            )
-        ),
-        key=lambda item: item[0],
+    blocks = list(tree_energy_blocks(net, params, args.limit))
+    ids = np.concatenate([id_rows for id_rows, _ in blocks])
+    energies = np.concatenate([values for _, values in blocks])
+    order = np.argsort(energies, kind="stable")  # equal energies keep enumeration order
+    rows = (
+        f"{rank},{float(energies[i])!r},{' '.join(map(str, ids[i].tolist()))}\n"
+        for rank, i in enumerate(order, start=1)
     )
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
-        out.write("rank,energy,edges\n")
-        for rank, (value, ids) in enumerate(ranked, start=1):
-            out.write(f"{rank},{value!r},{' '.join(map(str, ids))}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _emit("rank,energy,edges\n" + "".join(rows), args.out)
     return 0
 
 
@@ -150,7 +142,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_gen_leaf(args) -> int:
     net = leaf_network(nodes=args.nodes, seed=_seed(args.seed))
-    _emit(io.network_to_dict(net), args.out)
+    _emit(json.dumps(io.network_to_dict(net), indent=1) + "\n", args.out)
     return 0
 
 

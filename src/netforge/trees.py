@@ -12,6 +12,7 @@ exponential) solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
 
 import numpy as np
@@ -32,7 +33,6 @@ from .graph import (
     connected_components,
     edge_values,
 )
-from .energy import metabolic_energy
 from .kirchhoff import solve_kirchhoff
 
 #: default cap on the estimated number of trees the enumerator will visit
@@ -44,11 +44,9 @@ STATIONARITY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edge ids of a spanning tree plus its parent array rooted at vertex 0
-    (parent[0] == -1)."""
+    """Edge ids of a spanning tree, in ascending order."""
 
     edge_ids: tuple
-    parent: tuple
 
 
 @dataclass(frozen=True)
@@ -69,27 +67,15 @@ def make_spanning_tree(net: Network, edge_ids) -> SpanningTree:
     n = net.vertex_count
     if len(edge_ids) != n - 1:
         raise ValueError(f"a spanning tree needs {n - 1} edges, got {len(edge_ids)}")
+    if edge_ids and not 0 <= edge_ids[0] <= edge_ids[-1] < net.edge_count:
+        raise ValueError(f"edge ids must lie in [0, {net.edge_count})")
 
-    adj = [[] for _ in range(n)]
-    for eid in edge_ids:
-        u, v = int(net.edge_u[eid]), int(net.edge_v[eid])
-        adj[u].append(v)
-        adj[v].append(u)
-
-    parent = [-2] * n
-    parent[0] = -1
-    queue = [0]
-    seen = 1
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if parent[y] == -2:
-                parent[y] = x
-                seen += 1
-                queue.append(y)
-    if seen != n:
+    # n - 1 edges that connect all n vertices form a tree
+    ids = list(edge_ids)
+    pairs = zip(net.edge_u[ids].tolist(), net.edge_v[ids].tolist())
+    if len(connected_components(n, pairs)) != 1:
         raise ValueError("edge ids do not span all vertices")
-    return SpanningTree(edge_ids=edge_ids, parent=tuple(parent))
+    return SpanningTree(edge_ids)
 
 
 def spanning_tree_count(net: Network) -> int:
@@ -160,7 +146,48 @@ def enumerate_spanning_trees(net: Network, limit: int = TREE_LIMIT):
     edges = [(eid, int(u), int(v)) for eid, (u, v, _) in enumerate(net.edges)]
     verts = frozenset(range(net.vertex_count))
     for ids in _trees(edges, verts, []):
-        yield make_spanning_tree(net, ids)
+        yield SpanningTree(ids)  # ascending ids of a tree by construction
+
+
+def _tree_states(net: Network, id_rows: np.ndarray, params: ModelParams):
+    """Forced fluxes, stationary conductivities and energies of a stack of
+    trees, given as a (T, |V|-1) array of edge ids.
+
+    The fluxes solve each tree's incidence system B_T Q = S without vertex
+    0's row (the source balance implies it), all T systems in one batched
+    solve.  B_T is totally unimodular, so elimination only adds and subtracts
+    sources: the fluxes are the trees' subtree sums of the sources.  Fluxes
+    and conductivities are (T, |V|-1) arrays aligned with ``id_rows``.
+    """
+    count, size = id_rows.shape
+    incidence = np.zeros((count, size + 1, size))
+    rows = np.arange(count)[:, None]
+    cols = np.arange(size)
+    incidence[rows, net.edge_u[id_rows], cols] = 1.0
+    incidence[rows, net.edge_v[id_rows], cols] = -1.0
+    fluxes = np.linalg.solve(incidence[:, 1:], net.sources[1:])
+
+    values = (fluxes**2 / params.nu) ** (1.0 / (params.gamma + 1.0))
+    lengths = net.lengths[id_rows]
+    kinetic = np.divide(fluxes**2, values, out=np.zeros_like(values), where=values > 0.0)
+    metabolic = params.nu / params.gamma * (values**params.gamma * lengths).sum(axis=1)
+    return fluxes, values, (kinetic * lengths).sum(axis=1) + metabolic
+
+
+def tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIMIT):
+    """Energies of all spanning trees in enumeration order, as blocks
+    ``(id_rows, energies)``: a (T, |V|-1) array of edge ids and the (T,)
+    energies of those trees' local minimizers.
+
+    A block holds about 2^14 / |V|^2 trees, so its stacked incidence system
+    stays near 128 KB at any |V|; blocks four times larger were no faster
+    and raised the peak memory of a search.
+    """
+    trees = enumerate_spanning_trees(net, limit)
+    block_size = max(1, 2**14 // net.vertex_count**2)
+    while block := [tree.edge_ids for tree in islice(trees, block_size)]:
+        id_rows = np.array(block, dtype=np.intp)
+        yield id_rows, _tree_states(net, id_rows, params)[2]
 
 
 def tree_fluxes(net: Network, tree: SpanningTree) -> np.ndarray:
@@ -169,34 +196,9 @@ def tree_fluxes(net: Network, tree: SpanningTree) -> np.ndarray:
 
     Removing a tree edge splits the vertices in two; the flux on the
     canonical edge (u, v) equals the net source of u's side, oriented
-    u -> v.  Pure subtree arithmetic, no linear solve.
+    u -> v.  The fluxes do not depend on the model parameters.
     """
-    n = net.vertex_count
-    parent = tree.parent
-    children = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            children[p].append(v)
-
-    order = [0]
-    for x in order:
-        order.extend(children[x])
-
-    subtree = net.sources.astype(float).copy()
-    for v in reversed(order):
-        if parent[v] >= 0:
-            subtree[parent[v]] += subtree[v]
-
-    fluxes = np.zeros(net.edge_count)
-    for eid in tree.edge_ids:
-        u, v = int(net.edge_u[eid]), int(net.edge_v[eid])
-        if parent[u] == v:
-            fluxes[eid] = subtree[u]
-        elif parent[v] == u:
-            fluxes[eid] = -subtree[v]
-        else:
-            raise ValueError(f"edge {eid} is not part of the tree")
-    return fluxes
+    return tree_local_minimizer(net, tree, ModelParams(gamma=1.0, nu=1.0)).fluxes
 
 
 def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) -> TreeSolution:
@@ -208,30 +210,29 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
     flux get zero conductivity, leaving their endpoints isolated in the
     support; that is harmless exactly when those vertices carry no source.
     """
-    fluxes = tree_fluxes(net, tree)
     ids = np.asarray(tree.edge_ids, dtype=np.intp)
-    values = np.zeros(net.edge_count)
-    values[ids] = (fluxes[ids] ** 2 / params.nu) ** (1.0 / (params.gamma + 1.0))
-
-    mask = values > 0.0
-    kinetic = float(np.sum(fluxes[mask] ** 2 / values[mask] * net.lengths[mask]))
+    fluxes, values, energies = _tree_states(net, ids[None, :], params)
+    full_fluxes = np.zeros(net.edge_count)
+    full_fluxes[ids] = fluxes[0]
+    full_values = np.zeros(net.edge_count)
+    full_values[ids] = values[0]
     return TreeSolution(
         tree=tree,
-        fluxes=fluxes,
-        conductivities=Conductivities(values),
-        energy=kinetic + metabolic_energy(values, net.lengths, params),
+        fluxes=full_fluxes,
+        conductivities=Conductivities(full_values),
+        energy=float(energies[0]),
     )
 
 
 def global_tree_search(net: Network, params: ModelParams, limit: int = TREE_LIMIT) -> TreeSolution:
     """Minimum-energy tree solution over all spanning trees (first enumerated
     tree wins ties, which makes the result reproducible)."""
-    best = None
-    for tree in enumerate_spanning_trees(net, limit):
-        sol = tree_local_minimizer(net, tree, params)
-        if best is None or sol.energy < best.energy:
-            best = sol
-    return best
+    best_ids, best_energy = None, None
+    for id_rows, energies in tree_energy_blocks(net, params, limit):
+        i = int(np.argmin(energies))  # first minimum of the block
+        if best_ids is None or energies[i] < best_energy:
+            best_ids, best_energy = id_rows[i], energies[i]
+    return tree_local_minimizer(net, SpanningTree(tuple(best_ids.tolist())), params)
 
 
 def is_loop_free(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> bool:

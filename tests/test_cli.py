@@ -142,6 +142,19 @@ def test_trees_table(triangle_file, capsys):
     assert best_energy == pytest.approx(2.0, rel=1e-12)
 
 
+def test_trees_table_ranks_the_global_search_optimum_first(tmp_path, capsys):
+    net = nf.seven_node_network()
+    path = tmp_path / "seven.json"
+    nf.save_graph(net, path)
+    assert main(["trees", "--graph", str(path), "--gamma", "0.5", "--nu", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + nf.spanning_tree_count(net)
+    best = nf.global_tree_search(net, nf.ModelParams(gamma=0.5, nu=1.0))
+    rank, energy, edges = lines[1].split(",")
+    assert rank == "1" and float(energy) == best.energy
+    assert tuple(int(e) for e in edges.split()) == best.tree.edge_ids
+
+
 def test_render_svg(triangle_file, tmp_path):
     cpath = tmp_path / "c.json"
     nf.save_conductivities(nf.toy1_network(), [1.0, 0.5, 0.0], cpath)

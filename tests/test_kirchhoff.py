@@ -145,6 +145,28 @@ def test_all_zero_sources_solution_is_zero():
     assert np.allclose(sol.fluxes, 0.0)
 
 
+def test_accurate_solve_with_large_pressures_is_accepted():
+    # a 477874-long edge gives pressures near 5e6, so a backward-stable
+    # solve leaves a residual far above 1e-8 max|S| yet within the
+    # componentwise bound; the flux 1 runs through edges (0,4) and (0,5)
+    lengths = (0.03125, 0.5, 0.125, 477874.0, 1.0)
+    net = nf.new_network(6, [(0, i + 1, l) for i, l in enumerate(lengths)], [0, 0, 0, 0, 1, -1])
+    C = np.random.default_rng(0).uniform(0.1, 2.0, 5)
+    params = nf.ModelParams(gamma=1.0, nu=1.0)
+    for t in (0.25, 0.5, 1.0, 2.0):
+        kinetic = nf.energy(net, t * C, params).kinetic
+        exact = (lengths[3] / C[3] + lengths[4] / C[4]) / t
+        assert kinetic == pytest.approx(exact, rel=1e-6)
+
+
+def test_inaccurate_solve_is_rejected():
+    # the 1e300 edge's conductance 5e-301 vanishes beside 0.5 in the
+    # operator, so the solve cannot reach the pressure drop 2e300 it needs
+    net = nf.new_network(3, [(0, 1, 1.0), (1, 2, 1e300)], [1.0, 0.0, -1.0])
+    with pytest.raises(nf.IllConditionedError):
+        nf.energy(net, [0.5, 0.5], nf.ModelParams(gamma=1.0, nu=1.0))
+
+
 # ----------------------------------------------------- continuity probe
 
 def test_continuity_probe_two_scales_agree():

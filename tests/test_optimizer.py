@@ -173,9 +173,9 @@ def test_optimize_divergence_detection():
 
 
 def test_optimize_infeasible_first_iterate_raises():
-    # lengths spanning 18 decades make the flow solve at the random
-    # initialization fail its residual check: nothing to restart from
-    net = nf.new_network(3, [(0, 1, 1e-9), (1, 2, 1e9), (0, 2, 1.0)], [1.0, 0.0, -1.0])
+    # lengths 1 and 1e300 make the flow solve at the random initialization
+    # fail its residual check: nothing to restart from
+    net = nf.new_network(3, [(0, 1, 1.0), (1, 2, 1e300)], [1.0, 0.0, -1.0])
     with pytest.raises(nf.IllConditionedError):
         nf.optimize(net, LINEAR, nf.OptimConfig(iters=200))
 

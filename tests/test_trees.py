@@ -48,6 +48,20 @@ def test_star_fluxes_point_inward():
     assert nf.tree_fluxes(net, tree).tolist() == [-1.0, -1.0, -1.0]
 
 
+def test_make_spanning_tree_rejects_non_trees():
+    # a triangle with a pendant vertex: (0,1), (0,2), (1,2), (2,3)
+    net = nf.new_network(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError):
+        nf.make_spanning_tree(net, [0, 3])  # two edges for four vertices
+    with pytest.raises(ValueError):
+        nf.make_spanning_tree(net, [0, 1, 2])  # closes the triangle, misses 3
+    with pytest.raises(ValueError):
+        nf.make_spanning_tree(net, [0, 3, -1])  # -1 is no edge id
+    with pytest.raises(ValueError):
+        nf.make_spanning_tree(net, [0, 3, 4])
+    assert nf.make_spanning_tree(net, [3, 0, 1]).edge_ids == (0, 1, 3)
+
+
 def test_tree_fluxes_conserve_exactly():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -167,6 +181,36 @@ def test_global_search_vee_benchmark():
 def test_global_search_idle_vertex_benchmark():
     best = nf.global_tree_search(triangle(), LINEAR)
     assert best.energy == pytest.approx(2.0, rel=1e-12)
+
+
+def test_global_search_ties_go_to_the_first_enumerated_tree():
+    # unit square with alternating unit sources: each of the 4 trees is a
+    # path around the square carrying fluxes 1, 0, 1 in path order, so at
+    # gamma = nu = 1 every tree's energy is exactly 2 + 2 = 4
+    net = square_cycle()
+    trees = nf.enumerate_spanning_trees(net)
+    energies = [nf.tree_local_minimizer(net, tree, LINEAR).energy for tree in trees]
+    assert energies == [4.0] * 4
+    assert nf.global_tree_search(net, LINEAR).tree.edge_ids == (0, 1, 2)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_global_search_matches_a_per_tree_scan(gamma):
+    # the seven-node graph's 16807 trees span many blocks of the batched
+    # evaluation; the reference is a strict-< scan of single-tree solutions
+    params = nf.ModelParams(gamma=gamma, nu=1.0)
+    rng = np.random.default_rng(3)
+    nets = [nf.seven_node_network()] + [random_connected_network(rng, n_max=7) for _ in range(10)]
+    for net in nets:
+        expected = None
+        for tree in nf.enumerate_spanning_trees(net):
+            sol = nf.tree_local_minimizer(net, tree, params)
+            if expected is None or sol.energy < expected.energy:
+                expected = sol
+        best = nf.global_tree_search(net, params)
+        assert best.tree == expected.tree
+        assert best.energy == expected.energy
+        assert best.energy == nf.tree_local_minimizer(net, best.tree, params).energy
 
 
 # ------------------------------------------------------------- loop tools

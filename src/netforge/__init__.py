@@ -93,7 +93,6 @@ from .trees import (
     loop_perturbation,
     make_spanning_tree,
     spanning_tree_count,
-    tree_energy_blocks,
     tree_fluxes,
     tree_local_minimizer,
 )

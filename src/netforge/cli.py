@@ -33,7 +33,7 @@ from .errors import NetforgeError
 from .graph import ACTIVE_EDGE_THRESHOLD, ModelParams
 from .kirchhoff import solve_kirchhoff
 from .optimizer import OptimConfig, optimize, sweep_mu
-from .trees import tree_energy_blocks
+from .trees import _tree_energy_blocks
 
 
 #: run terminations that make ``optimize`` and ``sweep`` exit with code 2
@@ -121,9 +121,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_trees(args) -> int:
     net = io.load_graph(args.graph)
     params = ModelParams(gamma=args.gamma, nu=args.nu, mu=0.0)
-    blocks = list(tree_energy_blocks(net, params, args.limit))
-    ids = np.concatenate([id_rows for id_rows, _ in blocks])
-    energies = np.concatenate([values for _, values in blocks])
+    ids, energies = map(np.concatenate, zip(*_tree_energy_blocks(net, params, args.limit)))
     order = np.argsort(energies, kind="stable")  # equal energies keep enumeration order
     rows = (
         f"{rank},{float(energies[i])!r},{' '.join(map(str, ids[i].tolist()))}\n"

@@ -43,9 +43,11 @@ def kinetic_energy(P: np.ndarray, S: np.ndarray) -> float:
     return float(P @ S)
 
 
-def metabolic_energy(values: np.ndarray, lengths: np.ndarray, params: ModelParams) -> float:
-    """Maintenance cost nu / gamma * sum C^gamma L."""
-    return params.nu / params.gamma * float(values**params.gamma @ lengths)
+def metabolic_energy(values: np.ndarray, lengths: np.ndarray, params: ModelParams):
+    """Maintenance cost nu / gamma * sum C^gamma L; for a stack of states
+    (one per row of ``values``), an array of the rows' costs."""
+    cost = np.vecdot(values**params.gamma, lengths)
+    return params.nu / params.gamma * (float(cost) if cost.ndim == 0 else cost)
 
 
 def energy(net: Network, C, params: ModelParams) -> EnergyBreakdown:

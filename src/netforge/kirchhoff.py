@@ -19,8 +19,8 @@ from .graph import Network, assemble_laplacian, edge_values, support_components
 #: per-component source balance is required within this fraction of max|S|
 COMPONENT_BALANCE_RTOL = 1e-10
 
-#: a solve whose residual exceeds this fraction of max|S| is rejected when
-#: some row's residual also exceeds this fraction of (|lap| |P| + |S|)
+#: a solve is rejected when some row's residual exceeds this fraction of
+#: max|S| plus the size of the fluxes through the row's vertex
 RESIDUAL_RTOL = 1e-8
 
 
@@ -69,8 +69,10 @@ def solve_pressures(lap, S, comps, scale) -> np.ndarray:
     sources balance by construction.
 
     Raises IllConditionedError when a component operator is singular or
-    the residual exceeds ``RESIDUAL_RTOL * scale`` and, in some row,
-    ``RESIDUAL_RTOL * (|lap| |P| + |S|)`` (the solve is not backward stable).
+    the residual of some row i exceeds
+    ``RESIDUAL_RTOL * (scale + sum_j |lap_ij| |P_i - P_j|)``: the solve is
+    then not backward stable under relative changes of the edge
+    conductances and of the sources.
     """
     if len(comps) == 1:
         P = deflated_solve(lap, S)
@@ -87,13 +89,14 @@ def solve_pressures(lap, S, comps, scale) -> np.ndarray:
     residual = np.abs(lap @ P - S)
     worst = residual.max()
     if worst > RESIDUAL_RTOL * scale:
-        # a backward-stable solve leaves residuals of order |lap| |P|, which
-        # large pressures make exceed max|S|: reject only when some row also
-        # fails the componentwise backward-error test; for a Laplacian
-        # (nonpositive off-diagonal) |lap| |P| = 2 diag(lap) |P| - lap |P|
-        abs_P = np.abs(P)
-        lap_abs_P = 2.0 * np.diag(lap) * abs_P - lap @ abs_P
-        if np.any(residual > RESIDUAL_RTOL * (lap_abs_P + np.abs(S))):
+        # large pressures leave a backward-stable solve residuals above
+        # RESIDUAL_RTOL max|S|; measure each row against the fluxes through
+        # its vertex too.  Conductance-weighted pressure differences, not
+        # pressures, set that size, so the huge pressures a singular solve
+        # returns across a vanishing conductance do not raise the bound;
+        # the off-diagonal of a Laplacian is nonpositive
+        through = -(lap * np.abs(P[:, None] - P)).sum(axis=1)
+        if np.any(residual > RESIDUAL_RTOL * (scale + through)):
             raise IllConditionedError(
                 f"relative solve residual {worst / scale if scale else worst:.3e}"
             )

@@ -16,7 +16,10 @@ from itertools import islice
 from math import sqrt
 
 import numpy as np
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
+from .energy import metabolic_energy
 from .errors import (
     DisconnectedSupportError,
     NoCycleError,
@@ -149,42 +152,51 @@ def enumerate_spanning_trees(net: Network, limit: int = TREE_LIMIT):
         yield SpanningTree(ids)  # ascending ids of a tree by construction
 
 
-def _tree_states(net: Network, id_rows: np.ndarray, params: ModelParams):
-    """Forced fluxes, stationary conductivities and energies of a stack of
-    trees, given as a (T, |V|-1) array of edge ids.
+def _tree_fluxes(net: Network, id_rows: np.ndarray) -> np.ndarray:
+    """Forced fluxes of a stack of trees, given as a (T, |V|-1) array of edge
+    ids, as a (T, |E|) array (zero off each tree).
 
-    The fluxes solve each tree's incidence system B_T Q = S without vertex
-    0's row (the source balance implies it), all T systems in one batched
-    solve.  B_T is totally unimodular, so elimination only adds and subtracts
-    sources: the fluxes are the trees' subtree sums of the sources.  Fluxes
-    and conductivities are (T, |V|-1) arrays aligned with ``id_rows``.
+    Each tree's fluxes solve its incidence system B_T Q = S without vertex
+    0's row (the source balance implies it).  One sparse LU in the natural
+    column order solves the block-diagonal stack, eliminating each tree's
+    block on its own, so a tree's fluxes do not depend on the rest of the
+    stack.  B_T is totally unimodular, so elimination only adds and
+    subtracts sources: the fluxes are the trees' subtree sums of the sources.
     """
     count, size = id_rows.shape
-    incidence = np.zeros((count, size + 1, size))
-    rows = np.arange(count)[:, None]
-    cols = np.arange(size)
-    incidence[rows, net.edge_u[id_rows], cols] = 1.0
-    incidence[rows, net.edge_v[id_rows], cols] = -1.0
-    fluxes = np.linalg.solve(incidence[:, 1:], net.sources[1:])
+    ends = np.stack([net.edge_u[id_rows], net.edge_v[id_rows]], axis=-1)
+    keep = ends > 0  # vertex 0's row is dropped
+    rows = (ends + (np.arange(count) * size - 1)[:, None, None])[keep]
+    signs = np.broadcast_to([1.0, -1.0], ends.shape)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
+    system = csc_array((signs, rows, indptr), shape=(count * size, count * size))
+    solved = splu(system, permc_spec="NATURAL").solve(np.tile(net.sources[1:], count))
+    fluxes = np.zeros((count, net.edge_count))
+    np.put_along_axis(fluxes, id_rows, solved.reshape(count, size), axis=1)
+    return fluxes
 
+
+def _tree_states(net: Network, id_rows: np.ndarray, params: ModelParams):
+    """Forced fluxes, stationary conductivities and energies of a stack of
+    trees, given as a (T, |V|-1) array of edge ids: two (T, |E|) arrays
+    (zero off each tree) and a (T,) array."""
+    fluxes = _tree_fluxes(net, id_rows)
     values = (fluxes**2 / params.nu) ** (1.0 / (params.gamma + 1.0))
-    lengths = net.lengths[id_rows]
-    kinetic = np.divide(fluxes**2, values, out=np.zeros_like(values), where=values > 0.0)
-    metabolic = params.nu / params.gamma * (values**params.gamma * lengths).sum(axis=1)
-    return fluxes, values, (kinetic * lengths).sum(axis=1) + metabolic
+    ratio = np.divide(fluxes**2, values, out=np.zeros_like(values), where=values > 0.0)
+    kinetic = np.vecdot(ratio, net.lengths)
+    return fluxes, values, kinetic + metabolic_energy(values, net.lengths, params)
 
 
-def tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIMIT):
+def _tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIMIT):
     """Energies of all spanning trees in enumeration order, as blocks
     ``(id_rows, energies)``: a (T, |V|-1) array of edge ids and the (T,)
     energies of those trees' local minimizers.
 
-    A block holds about 2^14 / |V|^2 trees, so its stacked incidence system
-    stays near 128 KB at any |V|; blocks four times larger were no faster
-    and raised the peak memory of a search.
+    A block holds about 2^14 / |V| trees, so its stacked sparse system has
+    about 2^14 columns at any |V|.
     """
     trees = enumerate_spanning_trees(net, limit)
-    block_size = max(1, 2**14 // net.vertex_count**2)
+    block_size = max(1, 2**14 // net.vertex_count)
     while block := [tree.edge_ids for tree in islice(trees, block_size)]:
         id_rows = np.array(block, dtype=np.intp)
         yield id_rows, _tree_states(net, id_rows, params)[2]
@@ -198,7 +210,7 @@ def tree_fluxes(net: Network, tree: SpanningTree) -> np.ndarray:
     canonical edge (u, v) equals the net source of u's side, oriented
     u -> v.  The fluxes do not depend on the model parameters.
     """
-    return tree_local_minimizer(net, tree, ModelParams(gamma=1.0, nu=1.0)).fluxes
+    return _tree_fluxes(net, np.array([tree.edge_ids], dtype=np.intp))[0]
 
 
 def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) -> TreeSolution:
@@ -210,16 +222,11 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
     flux get zero conductivity, leaving their endpoints isolated in the
     support; that is harmless exactly when those vertices carry no source.
     """
-    ids = np.asarray(tree.edge_ids, dtype=np.intp)
-    fluxes, values, energies = _tree_states(net, ids[None, :], params)
-    full_fluxes = np.zeros(net.edge_count)
-    full_fluxes[ids] = fluxes[0]
-    full_values = np.zeros(net.edge_count)
-    full_values[ids] = values[0]
+    fluxes, values, energies = _tree_states(net, np.array([tree.edge_ids], dtype=np.intp), params)
     return TreeSolution(
         tree=tree,
-        fluxes=full_fluxes,
-        conductivities=Conductivities(full_values),
+        fluxes=fluxes[0],
+        conductivities=Conductivities(values[0]),
         energy=float(energies[0]),
     )
 
@@ -228,7 +235,7 @@ def global_tree_search(net: Network, params: ModelParams, limit: int = TREE_LIMI
     """Minimum-energy tree solution over all spanning trees (first enumerated
     tree wins ties, which makes the result reproducible)."""
     best_ids, best_energy = None, None
-    for id_rows, energies in tree_energy_blocks(net, params, limit):
+    for id_rows, energies in _tree_energy_blocks(net, params, limit):
         i = int(np.argmin(energies))  # first minimum of the block
         if best_ids is None or energies[i] < best_energy:
             best_ids, best_energy = id_rows[i], energies[i]

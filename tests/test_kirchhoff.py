@@ -159,12 +159,17 @@ def test_accurate_solve_with_large_pressures_is_accepted():
         assert kinetic == pytest.approx(exact, rel=1e-6)
 
 
-def test_inaccurate_solve_is_rejected():
+@pytest.mark.parametrize("lengths", [(1.0, 1e300), (1.0, 1e300, 1.0)])
+def test_inaccurate_solve_is_rejected(lengths):
     # the 1e300 edge's conductance 5e-301 vanishes beside 0.5 in the
-    # operator, so the solve cannot reach the pressure drop 2e300 it needs
-    net = nf.new_network(3, [(0, 1, 1.0), (1, 2, 1e300)], [1.0, 0.0, -1.0])
+    # operator, so the solve cannot reach the pressure drop 2e300 it needs;
+    # on the 4-vertex path every vertex touches a strong edge, and the
+    # pressures the solve returns are near 1e16
+    n = len(lengths) + 1
+    sources = [1.0] + [0.0] * (n - 2) + [-1.0]
+    net = nf.new_network(n, [(i, i + 1, l) for i, l in enumerate(lengths)], sources)
     with pytest.raises(nf.IllConditionedError):
-        nf.energy(net, [0.5, 0.5], nf.ModelParams(gamma=1.0, nu=1.0))
+        nf.energy(net, [0.5] * (n - 1), nf.ModelParams(gamma=1.0, nu=1.0))
 
 
 # ----------------------------------------------------- continuity probe

@@ -5,6 +5,7 @@ import pytest
 
 import netforge as nf
 from conftest import random_connected_network, random_spanning_tree_ids
+from netforge.trees import _tree_energy_blocks
 
 
 def triangle(sources=(1.0, -1.0, 0.0)):
@@ -202,9 +203,13 @@ def test_global_search_matches_a_per_tree_scan(gamma):
     rng = np.random.default_rng(3)
     nets = [nf.seven_node_network()] + [random_connected_network(rng, n_max=7) for _ in range(10)]
     for net in nets:
+        trees = nf.enumerate_spanning_trees(net)
+        scan = [nf.tree_local_minimizer(net, tree, params) for tree in trees]
+        # a tree's energy does not depend on the block it is evaluated in
+        blocks = np.concatenate([energies for _, energies in _tree_energy_blocks(net, params)])
+        assert np.array_equal(blocks, [sol.energy for sol in scan])
         expected = None
-        for tree in nf.enumerate_spanning_trees(net):
-            sol = nf.tree_local_minimizer(net, tree, params)
+        for sol in scan:
             if expected is None or sol.energy < expected.energy:
                 expected = sol
         best = nf.global_tree_search(net, params)

@@ -157,11 +157,11 @@ def _tree_fluxes(net: Network, id_rows: np.ndarray) -> np.ndarray:
     ids, as a (T, |E|) array (zero off each tree).
 
     Each tree's fluxes solve its incidence system B_T Q = S without vertex
-    0's row (the source balance implies it).  One sparse LU in the natural
-    column order solves the block-diagonal stack, eliminating each tree's
-    block on its own, so a tree's fluxes do not depend on the rest of the
-    stack.  B_T is totally unimodular, so elimination only adds and
-    subtracts sources: the fluxes are the trees' subtree sums of the sources.
+    0's row (the source balance implies it).  B_T is totally unimodular, so
+    elimination only adds and subtracts sources: the fluxes are subtree sums
+    of the sources.  One sparse LU in the natural column order eliminates
+    each tree's block of the stack on its own, so a tree's fluxes do not
+    depend on its block; one-column panels keep SuperLU's workspace small.
     """
     count, size = id_rows.shape
     ends = np.stack([net.edge_u[id_rows], net.edge_v[id_rows]], axis=-1)
@@ -170,7 +170,8 @@ def _tree_fluxes(net: Network, id_rows: np.ndarray) -> np.ndarray:
     signs = np.broadcast_to([1.0, -1.0], ends.shape)[keep]
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
     system = csc_array((signs, rows, indptr), shape=(count * size, count * size))
-    solved = splu(system, permc_spec="NATURAL").solve(np.tile(net.sources[1:], count))
+    lu = splu(system, permc_spec="NATURAL", panel_size=1)
+    solved = lu.solve(np.tile(net.sources[1:], count))
     fluxes = np.zeros((count, net.edge_count))
     np.put_along_axis(fluxes, id_rows, solved.reshape(count, size), axis=1)
     return fluxes
@@ -192,11 +193,11 @@ def _tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIM
     ``(id_rows, energies)``: a (T, |V|-1) array of edge ids and the (T,)
     energies of those trees' local minimizers.
 
-    A block holds about 2^14 / |V| trees, so its stacked sparse system has
-    about 2^14 columns at any |V|.
+    A block of 2^11 / |V| trees stacks a sparse system of about 2^11 columns;
+    larger blocks were no faster and raised the peak memory of a search.
     """
     trees = enumerate_spanning_trees(net, limit)
-    block_size = max(1, 2**14 // net.vertex_count)
+    block_size = max(1, 2**11 // net.vertex_count)
     while block := [tree.edge_ids for tree in islice(trees, block_size)]:
         id_rows = np.array(block, dtype=np.intp)
         yield id_rows, _tree_states(net, id_rows, params)[2]

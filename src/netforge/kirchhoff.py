@@ -70,9 +70,9 @@ def solve_pressures(lap, S, comps, scale) -> np.ndarray:
 
     Raises IllConditionedError when a component operator is singular or
     the residual of some row i exceeds
-    ``RESIDUAL_RTOL * (scale + sum_j |lap_ij| |P_i - P_j|)``: the solve is
-    then not backward stable under relative changes of the edge
-    conductances and of the sources.
+    ``RESIDUAL_RTOL * (scale + sum_j |lap_ij| |P_i - P_j|)``: no relative
+    change of RESIDUAL_RTOL in each edge conductance and in the source
+    scale then explains the residual (the solve is not backward stable).
     """
     if len(comps) == 1:
         P = deflated_solve(lap, S)

@@ -121,7 +121,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_trees(args) -> int:
     net = io.load_graph(args.graph)
     params = ModelParams(gamma=args.gamma, nu=args.nu, mu=0.0)
-    ids, energies = map(np.concatenate, zip(*_tree_energy_blocks(net, params, args.limit)))
+    ids, energies = map(np.concatenate, zip(*_tree_energy_blocks(net, params)))
     order = np.argsort(energies, kind="stable")  # equal energies keep enumeration order
     rows = (
         f"{rank},{float(energies[i])!r},{' '.join(map(str, ids[i].tolist()))}\n"
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_trees)
 

@@ -102,13 +102,13 @@ class ModelParams:
     """Transport-energy parameters.
 
     gamma
-        Metabolic exponent (> 0).  The robustness-aware optimizer additionally
+        Metabolic exponent (> 0, finite).  The robustness-aware optimizer additionally
         requires ``gamma == 1`` because the augmented functional is unbounded
         from below for ``gamma < 1`` with positive robustness weight.
     nu
-        Metabolic coefficient (> 0).
+        Metabolic coefficient (> 0, finite).
     mu
-        Robustness weight on the Fiedler number (>= 0).
+        Robustness weight on the Fiedler number (>= 0, finite).
     """
 
     gamma: float
@@ -116,39 +116,40 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
-        if not self.mu >= 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be nonnegative and finite")
 
 
-def connected_components(vertex_count: int, pairs: Iterable) -> list:
-    """Connected components of the graph on ``vertex_count`` vertices with the
-    given (u, v) edge pairs.  Returns sorted vertex-index arrays, ordered by
-    their smallest vertex."""
+def _union_find(vertex_count: int, pairs: Iterable):
+    """Union-find forest of the graph on ``vertex_count`` vertices with the
+    given (u, v) edge pairs: its ``find`` and the number of components.  The
+    root of each component is its smallest vertex."""
     parent = list(range(vertex_count))
 
     def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
+    count = vertex_count
     for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             if rv < ru:
                 ru, rv = rv, ru
             parent[rv] = ru
+            count -= 1
+    return find, count
 
-    groups = {}
-    for i in range(vertex_count):
-        groups.setdefault(find(i), []).append(i)
-    return [np.asarray(groups[r], dtype=int) for r in sorted(groups)]
+
+def component_count(vertex_count: int, pairs: Iterable) -> int:
+    """Number of connected components of the graph on ``vertex_count``
+    vertices with the given (u, v) edge pairs."""
+    return _union_find(vertex_count, pairs)[1]
 
 
 def new_network(
@@ -223,10 +224,10 @@ def new_network(
             raise NonFiniteError("positions must be finite")
         positions.flags.writeable = False
 
-    comps = connected_components(vertex_count, [(u, v) for u, v, _ in canonical])
-    if len(comps) != 1:
+    comps = component_count(vertex_count, [(u, v) for u, v, _ in canonical])
+    if comps != 1:
         raise DisconnectedGraphError(
-            f"graph has {len(comps)} connected components"
+            f"graph has {comps} connected components"
         )
 
     edge_u = np.asarray([u for u, _, _ in canonical], dtype=np.intp)
@@ -290,7 +291,10 @@ def active_cutoff(values: np.ndarray, threshold: float = ACTIVE_EDGE_THRESHOLD) 
     The cutoff is relative to the largest conductivity so that a uniform
     rescaling of C does not change which edges count as present, while
     all-small vectors fall back to an absolute cutoff of ``threshold``.
+    Raises ValueError unless ``threshold`` is a number >= 0 (NaN is not).
     """
+    if not threshold >= 0:
+        raise ValueError("threshold must be a number >= 0")
     return threshold * max(float(values.max(initial=0.0)), 1.0)
 
 
@@ -298,14 +302,17 @@ def active_edges(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> n
     """Ascending ids of the edges whose conductivity exceeds
     :func:`active_cutoff`; a larger threshold never yields edges the
     smaller one missed."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
     values = edge_values(net, C)
     return np.flatnonzero(values > active_cutoff(values, threshold))
 
 
 def support_components(net: Network, C) -> list:
-    """Connected components of the support graph (edges with C > 0)."""
+    """Connected components of the support graph (edges with C > 0), as
+    sorted vertex-index arrays ordered by their smallest vertex."""
     values = edge_values(net, C)
     pairs = zip(net.edge_u[values > 0.0].tolist(), net.edge_v[values > 0.0].tolist())
-    return connected_components(net.vertex_count, pairs)
+    find, _ = _union_find(net.vertex_count, pairs)
+    groups = {}
+    for i in range(net.vertex_count):
+        groups.setdefault(find(i), []).append(i)
+    return [np.asarray(groups[r], dtype=int) for r in sorted(groups)]

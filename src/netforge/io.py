@@ -125,13 +125,17 @@ def conductivities_to_dict(net: Network, C) -> dict:
 
 
 def conductivities_from_dict(net: Network, doc: dict) -> Conductivities:
-    """Per-edge values from a document; edges absent from it default to 0."""
+    """Per-edge values from a document; absent edges default to 0, repeated ones raise."""
     values = np.zeros(net.edge_count)
+    seen = set()
     for entry in _object_list(doc, "edges"):
         u, v = _number(entry, "u", int), _number(entry, "v", int)
         key = (u, v) if u < v else (v, u)
         if key not in net.edge_index:
             raise ValueError(f"conductivity given for missing edge {key}")
+        if key in seen:
+            raise ValueError(f"conductivity given twice for edge {key}")
+        seen.add(key)
         values[net.edge_index[key]] = _number(entry, "c")
     return Conductivities(values)
 

@@ -66,8 +66,8 @@ class OptimConfig:
     trace_stride: int = 1000
 
     def __post_init__(self):
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be positive and finite")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.seed < 0:

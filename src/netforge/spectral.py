@@ -116,14 +116,17 @@ def spectral_decompose(mat) -> SpectralResult:
 
     Raises NonSymmetricError when the input is not symmetric (within
     1e-12 relative) and ValueError for matrices smaller than 2x2, where a
-    second eigenvalue does not exist.
+    second eigenvalue does not exist, and for non-finite entries.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
     if mat.shape[0] < 2:
         raise ValueError("need at least two vertices for a Fiedler value")
-    scale = max(1.0, np.abs(mat).max())
+    peak = np.abs(mat).max()  # NaN or inf when an entry is
+    if not np.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, peak)
     if np.abs(mat - mat.T).max() > 1e-12 * scale:
         raise NonSymmetricError("matrix is not symmetric")
 

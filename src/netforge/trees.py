@@ -33,7 +33,7 @@ from .graph import (
     Network,
     active_edges,
     assemble_laplacian,
-    connected_components,
+    component_count,
     edge_values,
 )
 from .kirchhoff import solve_kirchhoff
@@ -76,39 +76,25 @@ def make_spanning_tree(net: Network, edge_ids) -> SpanningTree:
     # n - 1 edges that connect all n vertices form a tree
     ids = list(edge_ids)
     pairs = zip(net.edge_u[ids].tolist(), net.edge_v[ids].tolist())
-    if len(connected_components(n, pairs)) != 1:
+    if component_count(n, pairs) != 1:
         raise ValueError("edge ids do not span all vertices")
     return SpanningTree(edge_ids)
 
 
 def spanning_tree_count(net: Network) -> int:
     """Number of spanning trees via the matrix-tree determinant of the
-    unweighted Laplacian."""
+    unweighted Laplacian; TooManyTreesError when it overflows a float."""
     if net.vertex_count == 1:
         return 1
     lap = assemble_laplacian(net, np.ones(net.edge_count))
-    return int(round(np.linalg.det(lap[1:, 1:])))
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(lap[1:, 1:])
+    if not np.isfinite(det):
+        raise TooManyTreesError("the spanning-tree count overflows a float")
+    return int(round(det))
 
 
-def _is_connected(edges, verts) -> bool:
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    roots = len(verts)
-    for _, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            roots -= 1
-    return roots == 1
-
-
-def _trees(edges, verts, chosen):
+def _trees(edges, verts, chosen, vertex_count):
     """Contraction/deletion enumeration over (eid, a, b) triples; yields edge-id
     tuples in lexicographic order of the sorted id sets."""
     if len(verts) == 1:
@@ -128,28 +114,33 @@ def _trees(edges, verts, chosen):
         if x != y:
             contracted.append((id2, x, y))
     chosen.append(eid)
-    yield from _trees(contracted, verts - {b}, chosen)
+    yield from _trees(contracted, verts - {b}, chosen, vertex_count)
     chosen.pop()
 
-    if _is_connected(rest, verts):
-        yield from _trees(rest, verts, chosen)
+    # deleting the edge must keep verts connected; contraction keeps vertex
+    # labels, so the vertex_count - len(verts) contracted-away ones are isolated
+    if component_count(vertex_count, ((x, y) for _, x, y in rest)) + len(verts) == vertex_count + 1:
+        yield from _trees(rest, verts, chosen, vertex_count)
 
 
-def enumerate_spanning_trees(net: Network, limit: int = TREE_LIMIT):
+def _spanning_tree_ids(net: Network):
+    """The ascending edge-id tuples of :func:`enumerate_spanning_trees`."""
+    count = spanning_tree_count(net)
+    if count > TREE_LIMIT:
+        raise TooManyTreesError(f"{count} spanning trees exceed the limit {TREE_LIMIT}")
+
+    edges = [(eid, int(u), int(v)) for eid, (u, v, _) in enumerate(net.edges)]
+    yield from _trees(edges, frozenset(range(net.vertex_count)), [], net.vertex_count)
+
+
+def enumerate_spanning_trees(net: Network):
     """Exhaustive, duplicate-free iterator over all spanning trees.
 
     The tree count is estimated first with the matrix-tree determinant and
-    the enumeration refuses to start beyond ``limit`` (the count grows like
-    |V|^(|V|-2) on complete graphs).
+    the enumeration refuses to start beyond ``TREE_LIMIT`` (the count grows
+    like |V|^(|V|-2) on complete graphs).
     """
-    count = spanning_tree_count(net)
-    if count > limit:
-        raise TooManyTreesError(f"{count} spanning trees exceed the limit {limit}")
-
-    edges = [(eid, int(u), int(v)) for eid, (u, v, _) in enumerate(net.edges)]
-    verts = frozenset(range(net.vertex_count))
-    for ids in _trees(edges, verts, []):
-        yield SpanningTree(ids)  # ascending ids of a tree by construction
+    return map(SpanningTree, _spanning_tree_ids(net))  # ascending ids of a tree by construction
 
 
 def _tree_fluxes(net: Network, id_rows: np.ndarray) -> np.ndarray:
@@ -188,7 +179,7 @@ def _tree_states(net: Network, id_rows: np.ndarray, params: ModelParams):
     return fluxes, values, kinetic + metabolic_energy(values, net.lengths, params)
 
 
-def _tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIMIT):
+def _tree_energy_blocks(net: Network, params: ModelParams):
     """Energies of all spanning trees in enumeration order, as blocks
     ``(id_rows, energies)``: a (T, |V|-1) array of edge ids and the (T,)
     energies of those trees' local minimizers.
@@ -196,9 +187,9 @@ def _tree_energy_blocks(net: Network, params: ModelParams, limit: int = TREE_LIM
     A block of 2^10 / |V| trees stacks a sparse system of about 2^10 columns;
     larger blocks were at most 10% faster and raised a search's peak memory.
     """
-    trees = enumerate_spanning_trees(net, limit)
+    trees = _spanning_tree_ids(net)
     block_size = max(1, 2**10 // net.vertex_count)
-    while block := [tree.edge_ids for tree in islice(trees, block_size)]:
+    while block := list(islice(trees, block_size)):
         id_rows = np.array(block, dtype=np.intp)
         yield id_rows, _tree_states(net, id_rows, params)[2]
 
@@ -232,11 +223,11 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
     )
 
 
-def global_tree_search(net: Network, params: ModelParams, limit: int = TREE_LIMIT) -> TreeSolution:
+def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:
     """Minimum-energy tree solution over all spanning trees (first enumerated
     tree wins ties, which makes the result reproducible)."""
     best_ids, best_energy = None, None
-    for id_rows, energies in _tree_energy_blocks(net, params, limit):
+    for id_rows, energies in _tree_energy_blocks(net, params):
         i = int(np.argmin(energies))  # first minimum of the block
         if best_ids is None or energies[i] < best_energy:
             best_ids, best_energy = id_rows[i], energies[i]
@@ -247,45 +238,35 @@ def is_loop_free(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> b
     """True when the active-edge subgraph of C is acyclic, i.e. a forest:
     exactly |V| - (number of components) edges."""
     ids = active_edges(net, C, threshold)
-    comps = connected_components(
+    comps = component_count(
         net.vertex_count, zip(net.edge_u[ids].tolist(), net.edge_v[ids].tolist())
     )
-    return ids.size == net.vertex_count - len(comps)
+    return ids.size == net.vertex_count - comps
 
 
-def _find_support_cycle(net: Network, values):
-    """Vertex sequence of some cycle of the positive-conductivity subgraph,
-    or None.  Deterministic: DFS in adjacency order from the lowest vertex."""
-    adj = [[] for _ in range(net.vertex_count)]
-    for eid in np.flatnonzero(values > 0.0):
-        u, v = int(net.edge_u[eid]), int(net.edge_v[eid])
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+def _support_cycle(net: Network, values):
+    """Vertex sequence of a cycle of the positive-conductivity subgraph, or
+    None.  Peeling pendant edges leaves the 2-core, empty exactly on a forest;
+    each core vertex has two edges to leave by, so the walk must close."""
+    u, v = net.edge_u[values > 0.0], net.edge_v[values > 0.0]
+    while u.size:
+        degree = np.bincount(np.concatenate([u, v]))
+        core = (degree[u] > 1) & (degree[v] > 1)
+        if core.all():
+            break
+        u, v = u[core], v[core]
+    if not u.size:
+        return None
 
-    color = [0] * net.vertex_count
-    for start in range(net.vertex_count):
-        if color[start]:
-            continue
-        path = [start]
-        stack = [(start, -1, iter(adj[start]))]
-        color[start] = 1
-        while stack:
-            v, via, it = stack[-1]
-            for w, eid in it:
-                if eid == via:
-                    continue
-                if color[w] == 1:  # w is on the current path: cycle found
-                    return path[path.index(w):]
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append(w)
-                    stack.append((w, eid, iter(adj[w])))
-                    break
-            else:
-                color[v] = 2
-                path.pop()
-                stack.pop()
-    return None
+    adj = {}  # (core edge index, other end) at each vertex, in edge-id order
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        adj.setdefault(a, []).append((i, b))
+        adj.setdefault(b, []).append((i, a))
+    path, vertex, via = [], int(u[0]), -1
+    while vertex not in path:
+        path.append(vertex)
+        via, vertex = next((e, w) for e, w in adj[vertex] if e != via)
+    return path[path.index(vertex):]
 
 
 def loop_perturbation(net: Network, C, params: ModelParams, epsilon: float) -> Conductivities:
@@ -296,6 +277,9 @@ def loop_perturbation(net: Network, C, params: ModelParams, epsilon: float) -> C
     ``epsilon`` along an active cycle and shifting each cycle conductivity by
     (epsilon / sqrt(nu)) * sign(P_a - P_b) then leaves the energy unchanged.
 
+    The cycle closes a walk through the 2-core of the support (C > 0) that
+    starts on its lowest edge and leaves each vertex by the lowest other edge.
+
     Raises NoCycleError when the support is acyclic, NotStationaryError when
     the stationarity relation fails on the cycle (beyond 1e-6 relative), and
     ValueError when the shifted conductivities leave the nonnegative cone.
@@ -304,7 +288,7 @@ def loop_perturbation(net: Network, C, params: ModelParams, epsilon: float) -> C
         raise ValueError("cycle perturbation requires the linear metabolic cost (gamma == 1)")
     values = edge_values(net, C)
 
-    cycle = _find_support_cycle(net, values)
+    cycle = _support_cycle(net, values)
     if cycle is None:
         raise NoCycleError("conductivity support contains no cycle")
 

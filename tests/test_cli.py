@@ -133,6 +133,41 @@ def test_optimize_help_lists_only_config_flags(capsys):
     assert "--trace-stride" in text and "--zero-threshold" not in text
 
 
+def test_trees_help_has_no_limit_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["trees", "--help"])
+    text = capsys.readouterr().out
+    assert "--gamma" in text and "--limit" not in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--nu", "inf", "--iters", "10"],
+        ["optimize", "--nu", "1", "--mu", "inf", "--iters", "10"],
+        ["optimize", "--nu", "1", "--tau0", "inf", "--iters", "10"],
+        ["trees", "--gamma", "inf", "--nu", "1"],
+    ],
+)
+def test_nonfinite_parameters_json(triangle_file, tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main([*args, "--graph", str(triangle_file), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_trees_on_too_many_trees_json(tmp_path, capsys):
+    # K_150 has 150^148 > 1e308 spanning trees: the determinant overflows
+    n = 150
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    path = tmp_path / "k150.json"
+    nf.save_graph(nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0]), path)
+    assert main(["trees", "--graph", str(path), "--gamma", "1", "--nu", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TooManyTreesError"
+
+
 def test_trees_table(triangle_file, capsys):
     assert main(["trees", "--graph", str(triangle_file), "--gamma", "1", "--nu", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -153,6 +188,22 @@ def test_trees_table_ranks_the_global_search_optimum_first(tmp_path, capsys):
     rank, energy, edges = lines[1].split(",")
     assert rank == "1" and float(energy) == best.energy
     assert tuple(int(e) for e in edges.split()) == best.tree.edge_ids
+
+
+@pytest.mark.parametrize("threshold", ["-1", "nan"])
+def test_render_rejects_negative_or_nan_threshold(triangle_file, tmp_path, capsys, threshold):
+    cpath = tmp_path / "c.json"
+    nf.save_conductivities(nf.toy1_network(), [1.0, 0.0, 0.0], cpath)
+    out = tmp_path / "net.svg"
+    code = main(
+        [
+            "render", "--graph", str(triangle_file), "--conductivities", str(cpath),
+            "--threshold", threshold, "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
 
 
 def test_render_svg(triangle_file, tmp_path):
@@ -240,6 +291,15 @@ def test_malformed_graph_document_json(tmp_path, capsys, doc):
 def test_malformed_conductivity_document_json(triangle_file, tmp_path, capsys, entry):
     bad = tmp_path / "c.json"
     bad.write_text(json.dumps({"edges": [entry]}))
+    assert main(["solve", "--graph", str(triangle_file), "--conductivities", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+
+
+def test_duplicate_conductivity_entry_json(triangle_file, tmp_path, capsys):
+    # (1, 0) names the same edge as (0, 1); the later value must not win
+    bad = tmp_path / "c.json"
+    bad.write_text(json.dumps({"edges": [{"u": 0, "v": 1, "c": 1}, {"u": 1, "v": 0, "c": 5}]}))
     assert main(["solve", "--graph", str(triangle_file), "--conductivities", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"

@@ -128,6 +128,18 @@ def test_model_params_validation():
         nf.ModelParams(gamma=1.0, nu=0.0)
     with pytest.raises(ValueError):
         nf.ModelParams(gamma=1.0, nu=1.0, mu=-0.1)
+    for inf in ({"gamma": np.inf}, {"nu": np.inf}, {"mu": np.inf}):
+        with pytest.raises(ValueError):
+            nf.ModelParams(**{"gamma": 1.0, "nu": 1.0, **inf})
+
+
+@pytest.mark.parametrize("threshold", [-1.0, np.nan])
+def test_negative_or_nan_threshold_rejected(threshold):
+    tri = nf.new_network(3, [(0, 1), (0, 2), (1, 2)], [1.0, -1.0, 0.0])
+    with pytest.raises(ValueError):
+        nf.active_edges(tri, [1.0, 1.0, 1.0], threshold)
+    with pytest.raises(ValueError):
+        nf.is_loop_free(tri, [1.0, 1.0, 1.0], threshold=threshold)
 
 
 def test_edge_values_shape_check():

@@ -251,6 +251,12 @@ def test_optim_config_fields():
     assert names == ["tau0", "iters", "seed", "trace_stride"]
 
 
+@pytest.mark.parametrize("tau0", [0.0, math.inf, math.nan])
+def test_optim_config_rejects_nonpositive_or_nonfinite_step(tau0):
+    with pytest.raises(ValueError):
+        nf.OptimConfig(tau0=tau0)
+
+
 def test_convexity_of_modified_energy_midpoints():
     rng = np.random.default_rng(4)
     net = triangle()

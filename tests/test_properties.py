@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netforge as nf
+from netforge.trees import _support_cycle
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -128,3 +129,21 @@ def test_fluxes_conserve_flow_at_every_vertex(net, seed):
     n = net.vertex_count
     divergence = np.bincount(net.edge_u, Q, n) - np.bincount(net.edge_v, Q, n)
     assert np.abs(divergence - net.sources).max() <= 1e-9 * np.abs(net.sources).max()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 7), st.data())
+def test_support_cycle_found_exactly_when_the_support_is_not_a_forest(n, data):
+    # a random edge subset of the complete graph is any support on n vertices;
+    # sparser generated networks rarely put a cycle off the walk's start
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    net = nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0])
+    positive = data.draw(st.lists(st.booleans(), min_size=net.edge_count, max_size=net.edge_count))
+    values = np.where(positive, 1.0, 0.0)
+    cycle = _support_cycle(net, values)
+    if sum(positive) == net.vertex_count - len(nf.support_components(net, values)):
+        assert cycle is None
+    else:
+        assert len(set(cycle)) == len(cycle) >= 3
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert values[net.edge_index[(min(a, b), max(a, b))]] > 0.0

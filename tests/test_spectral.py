@@ -102,6 +102,12 @@ def test_non_symmetric_rejected():
         nf.spectral_decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("mat", [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, -1.0], [-1.0, 1.0]]])
+def test_non_finite_matrix_rejected(mat):
+    with pytest.raises(ValueError):
+        nf.spectral_decompose(np.array(mat))
+
+
 def test_eigendecomposition_residual():
     rng = np.random.default_rng(4)
     for _ in range(10):

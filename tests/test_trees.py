@@ -170,6 +170,33 @@ def test_too_many_trees_rejected():
         next(iter(nf.enumerate_spanning_trees(net)))
 
 
+def test_tree_count_overflow_rejected():
+    # K_150 has 150^148 > 1e308 spanning trees: the determinant overflows
+    n = 150
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    net = nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0])
+    with pytest.raises(nf.TooManyTreesError):
+        nf.spanning_tree_count(net)
+    with pytest.raises(nf.TooManyTreesError):
+        next(iter(nf.enumerate_spanning_trees(net)))
+    with pytest.raises(nf.TooManyTreesError):
+        nf.global_tree_search(net, LINEAR)
+
+
+def test_bridged_triangle_chain_enumeration():
+    # ten triangles joined by bridges: 3^10 trees; without the deletion
+    # branch's connectivity check the enumeration takes about 30x longer
+    edges = []
+    for i in range(10):
+        a = 3 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+        if i:
+            edges.append((a - 1, a))
+    net = nf.new_network(30, edges, [1.0] + [0.0] * 28 + [-1.0])
+    assert nf.spanning_tree_count(net) == 3**10
+    assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 3**10
+
+
 # ---------------------------------------------------------- global search
 
 def test_global_search_vee_benchmark():

@@ -33,7 +33,7 @@ from .graph import (
     support_components,
 )
 from .kirchhoff import solve_kirchhoff, solve_pressures
-from .spectral import fiedler_pair, laplacian, spectral_decompose
+from .spectral import _low_spectrum, fiedler_pair, laplacian
 
 MAX_RESTARTS = 10
 
@@ -80,9 +80,13 @@ class OptimConfig:
 class TraceRecord:
     """One evaluated iterate: objective values, spectral summary and step.
 
-    ``active_edges`` counts the edges above :func:`graph.active_cutoff`.
-    Its fields are the report columns: trace rows carry all of them, sweep
-    summary rows all but ``k`` and ``tau`` (``SUMMARY_FIELDS``).
+    ``fiedler``, ``lambda2`` and ``lambda3`` are eigenvalues 1, 2 and 3 of the
+    raw-conductivity Laplacian, read from its low-spectrum window (NaN where
+    the graph has too few vertices); ``multiplicity`` counts the eigenvalues
+    within the gap tolerance of the Fiedler value.  ``active_edges`` counts
+    the edges above :func:`graph.active_cutoff`.  Its fields are the report
+    columns: trace rows carry all of them, sweep summary rows all but ``k``
+    and ``tau`` (``SUMMARY_FIELDS``).
     """
 
     k: int
@@ -139,7 +143,7 @@ def modified_energy(net: Network, C, params: ModelParams) -> float:
     breakdown = energy(net, C, params)
     if not math.isfinite(breakdown.total):
         return math.inf
-    fied = spectral_decompose(laplacian(net, C)).fiedler
+    fied = float(_low_spectrum(laplacian(net, C))[0][1])
     return breakdown.total - robustness_coefficient(net, params) * fied
 
 
@@ -169,7 +173,7 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
     if not sol.solvable:
         raise DisconnectedSupportError("subgradient step needs a solvable flow state")
     coef = robustness_coefficient(net, params)
-    vec = spectral_decompose(laplacian(net, values)).fiedler_vector if coef != 0.0 else None
+    vec = fiedler_pair(*_low_spectrum(laplacian(net, values)))[1] if coef != 0.0 else None
     step = _projected_step(
         net, values, sol.pressures, vec, tau, 1.0 / net.lengths, params.nu * net.lengths, coef
     )
@@ -177,10 +181,11 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
 
 
 def _record(net: Network, C, k, F, e_kin, e_met, tau, w, fied, mult) -> TraceRecord:
-    """The record of iterate ``k``; the raw-Laplacian spectrum (``w``, ``fied``,
-    ``mult``) is computed here only when the loop had none (mu = 0)."""
+    """The record of iterate ``k``; the raw Laplacian's low-spectrum window
+    (``w``, ``fied``, ``mult``) is computed here only when the loop had none
+    (mu = 0)."""
     if w is None:
-        w, V = np.linalg.eigh(assemble_laplacian(net, C))
+        w, V = _low_spectrum(assemble_laplacian(net, C))
         fied, _, mult = fiedler_pair(w, V)
     return TraceRecord(
         k=k,
@@ -207,11 +212,13 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     ``termination``, not raised.  The pressures, energies and step come from
     the same kernels as :func:`solve_kirchhoff`, :func:`energy` and
     :func:`subgradient_step`.  The trace holds the records of iterates 0, s,
-    2s, ... (s = ``trace_stride``), K and the best one (``best_record``, built
-    after the loop), in k order and once each.
+    2s, ... (s = ``trace_stride``), K and the best one (``best_record``), in
+    k order and once each.  Every Fiedler evaluation is the low-spectrum
+    window of :func:`spectral._low_spectrum`, as in :func:`modified_energy`
+    and :func:`subgradient_step`.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
-    feasible iterate exists to restart from.
+    feasible iterate exists to restart from, and when ``dsyevr`` fails.
     """
     _require_linear_metabolic(params)
     if net.vertex_count < 2:
@@ -238,7 +245,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     restarts = 0
     best_F = math.inf
     best_C = None
-    best = None  # record arguments of the best iterate; holding its n x n V would slow the loop
+    best = None  # record arguments of the best iterate (a record needs no eigenvectors)
     trace = []
     termination = "completed"
 
@@ -249,7 +256,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         w = V = vec = fied = mult = None
         if coef != 0.0:
             lap_raw = assemble_laplacian(net, C)
-            w, V = np.linalg.eigh(lap_raw)
+            w, V = _low_spectrum(lap_raw)
 
         if comps is None:
             # a safely positive second eigenvalue of the raw Laplacian
@@ -318,8 +325,13 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     if termination == "completed" and restarts:
         termination = "restarted_then_completed"
 
-    best_record = _record(net, best_C, *best)
-    trace = sorted({rec.k: rec for rec in [*trace, best_record]}.values(), key=lambda rec: rec.k)
+    # the best iterate's record is built only when no stride or final record
+    # holds it already (at mu = 0 that saves an eigensolve)
+    by_k = {rec.k: rec for rec in trace}
+    if best[0] not in by_k:
+        by_k[best[0]] = _record(net, best_C, *best)
+    best_record = by_k[best[0]]
+    trace = [by_k[k] for k in sorted(by_k)]
 
     return OptimRun(
         best_C=Conductivities(best_C),

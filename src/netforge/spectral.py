@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 
-from .errors import DisconnectedSupportError, NonSymmetricError, TooLargeError
+from .errors import DisconnectedSupportError, IllConditionedError, NonSymmetricError, TooLargeError
 from .graph import Network, assemble_laplacian, edge_values, support_components
 
 #: absolute / relative floor of the eigenvalue gap that still counts as a
@@ -70,9 +71,32 @@ def gap_tolerance(fiedler: float) -> float:
     return max(GAP_TOL, GAP_TOL * abs(fiedler))
 
 
+def _low_spectrum(lap: np.ndarray):
+    """The lowest eigenvalues of a symmetric matrix, ascending, and their unit
+    eigenvectors as columns, from LAPACK's MRRR driver ``dsyevr``.
+
+    The window holds indices 0..3 (all of them below n = 4) and doubles until
+    its last eigenvalue lies beyond the gap tolerance of the Fiedler value or
+    it covers all n, so every eigenvalue equal to the Fiedler value is in it.
+    Raises IllConditionedError when ``dsyevr`` fails.
+    """
+    n = lap.shape[0]
+    count = min(n, 4)
+    while True:
+        w, V, _, _, info = dsyevr(lap, range="I", iu=count)
+        if info != 0:
+            raise IllConditionedError(f"dsyevr failed with info = {info}")
+        w = w[:count]
+        if count == n or w[-1] - w[1] > gap_tolerance(w[1]):
+            return w, V
+        count = min(n, 2 * count)
+
+
 def fiedler_pair(w: np.ndarray, V: np.ndarray):
-    """Fiedler value, deterministic eigenvector and multiplicity from a sorted
-    eigendecomposition (w ascending, V columns matching).
+    """Fiedler value, deterministic eigenvector and multiplicity from the low
+    end of a sorted eigendecomposition (w ascending, V columns matching; a
+    window such as :func:`_low_spectrum`'s that holds every eigenvalue equal
+    to the Fiedler value, or the full spectrum).
 
     The vector is taken from the Fiedler eigenspace and orthogonalized
     against the all-ones vector; for a connected graph this is the solver's
@@ -80,7 +104,7 @@ def fiedler_pair(w: np.ndarray, V: np.ndarray):
     disconnected points, where the trivial eigenvalue is degenerate with the
     Fiedler value and the raw solver basis may mix in the constant vector.
     """
-    n = w.size
+    n = V.shape[0]
     fiedler = float(w[1])
     tol = gap_tolerance(fiedler)
     multiplicity = int(np.count_nonzero(np.abs(w[1:] - fiedler) <= tol))
@@ -92,7 +116,7 @@ def fiedler_pair(w: np.ndarray, V: np.ndarray):
     else:
         # the first basis vector collapsed onto the constant vector: walk the
         # rest of the eigenspace (including the trivial column if degenerate)
-        block = [k for k in range(2, n) if abs(w[k] - fiedler) <= tol]
+        block = [k for k in range(2, w.size) if abs(w[k] - fiedler) <= tol]
         if abs(w[0] - fiedler) <= tol:
             block.append(0)
         vec = V[:, 1].copy()

@@ -81,17 +81,40 @@ def make_spanning_tree(net: Network, edge_ids) -> SpanningTree:
     return SpanningTree(edge_ids)
 
 
-def spanning_tree_count(net: Network) -> int:
-    """Number of spanning trees via the matrix-tree determinant of the
-    unweighted Laplacian; TooManyTreesError when it overflows a float."""
+def _tree_count_estimate(net: Network) -> float:
+    """The matrix-tree determinant of the unweighted Laplacian in floating
+    point; TooManyTreesError when it overflows a float."""
     if net.vertex_count == 1:
-        return 1
+        return 1.0
     lap = assemble_laplacian(net, np.ones(net.edge_count))
     with np.errstate(over="ignore"):
         det = np.linalg.det(lap[1:, 1:])
     if not np.isfinite(det):
         raise TooManyTreesError("the spanning-tree count overflows a float")
-    return int(round(det))
+    return float(det)
+
+
+def spanning_tree_count(net: Network) -> int:
+    """Exact number of spanning trees: the matrix-tree determinant of the
+    unweighted Laplacian by fraction-free (Bareiss) integer elimination, about
+    |V|^3 / 3 big-integer operations.  TooManyTreesError when the determinant
+    overflows a float."""
+    _tree_count_estimate(net)
+    if net.vertex_count == 1:
+        return 1
+    lap = assemble_laplacian(net, np.ones(net.edge_count))
+    M = np.rint(lap[1:, 1:]).astype(np.int64).astype(object)
+    # each pivot is a leading principal minor of a positive semidefinite
+    # matrix, so it is positive, or zero only when the whole determinant is
+    previous = 1
+    for k in range(M.shape[0] - 1):
+        pivot = M[k, k]
+        if pivot == 0:
+            return 0
+        rest = M[k + 1 :, k + 1 :]
+        M[k + 1 :, k + 1 :] = (rest * pivot - np.outer(M[k + 1 :, k], M[k, k + 1 :])) // previous
+        previous = pivot
+    return int(M[-1, -1])
 
 
 def _trees(edges, verts, chosen, vertex_count):
@@ -125,9 +148,11 @@ def _trees(edges, verts, chosen, vertex_count):
 
 def _spanning_tree_ids(net: Network):
     """The ascending edge-id tuples of :func:`enumerate_spanning_trees`."""
-    count = spanning_tree_count(net)
-    if count > TREE_LIMIT:
-        raise TooManyTreesError(f"{count} spanning trees exceed the limit {TREE_LIMIT}")
+    # the float determinant settles large counts without the exact count's
+    # cubic big-integer elimination
+    estimate = _tree_count_estimate(net)
+    if estimate > 2 * TREE_LIMIT or spanning_tree_count(net) > TREE_LIMIT:
+        raise TooManyTreesError(f"about {estimate:.6g} spanning trees exceed the limit {TREE_LIMIT}")
 
     edges = [(eid, int(u), int(v)) for eid, (u, v, _) in enumerate(net.edges)]
     yield from _trees(edges, frozenset(range(net.vertex_count)), [], net.vertex_count)

@@ -142,13 +142,13 @@ def test_optimize_records_stride_and_final():
 @pytest.mark.parametrize("mu, iters, stride", [(0.0, 2500, 1000), (0.0, 500, 7), (0.6, 2500, 1000), (0.6, 500, 7)])
 def test_optimize_trace_holds_stride_final_and_best_records_only(monkeypatch, mu, iters, stride):
     solves = []
-    eigh = np.linalg.eigh
+    low_spectrum = nf.optimizer._low_spectrum
 
-    def counted_eigh(mat):
+    def counted_low_spectrum(mat):
         solves.append(mat.shape)
-        return eigh(mat)
+        return low_spectrum(mat)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(nf.optimizer, "_low_spectrum", counted_low_spectrum)
     params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
     run = nf.optimize(nf.seven_node_network(), params, nf.OptimConfig(iters=iters, seed=1, trace_stride=stride))
     assert run.termination == "completed"
@@ -158,8 +158,8 @@ def test_optimize_trace_holds_stride_final_and_best_records_only(monkeypatch, mu
     assert sum(rec is run.best_record for rec in run.trace) == 1
     assert run.best_record.F == run.best_F
     if mu == 0.0:
-        # eigensolves only for the records: stride points, K, and the best
-        assert len(solves) <= len(run.trace) + 1
+        # one eigensolve per record: stride points, K, and the best
+        assert len(solves) == len(run.trace)
     else:
         assert len(solves) == iters + 1
 
@@ -195,12 +195,13 @@ def test_optimize_reports_giving_up_after_max_restarts():
 def test_optimize_shares_the_energy_kernels():
     # optimize evaluates iterates through the same assembly, solve and energy
     # formulas as the public functions, so they agree to the last bit
-    for net in (triangle(), nf.seven_node_network()):
-        for mu in (0.0, 0.5):
-            params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
-            run = nf.optimize(net, params, nf.OptimConfig(iters=300, seed=1))
-            assert run.best_F == nf.modified_energy(net, run.best_C, params)
-            assert run.best_record.E == nf.energy(net, run.best_C, params).total
+    cases = [(net, mu) for net in (triangle(), nf.seven_node_network()) for mu in (0.0, 0.5)]
+    cases += [(nf.leaf_network(40, 0), 0.0), (nf.leaf_network(40, 0), 1.0)]
+    for net, mu in cases:
+        params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+        run = nf.optimize(net, params, nf.OptimConfig(iters=300, seed=1))
+        assert run.best_F == nf.modified_energy(net, run.best_C, params)
+        assert run.best_record.E == nf.energy(net, run.best_C, params).total
 
 
 def test_optimize_requires_linear_cost():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import netforge as nf
+from netforge.spectral import _low_spectrum, fiedler_pair
 from conftest import central_difference, random_conductivities, random_connected_network
 
 
@@ -157,6 +158,94 @@ def test_fiedler_homogeneity():
     for lam in (0.0, 0.3, 2.5):
         scaled = nf.spectral_decompose(nf.laplacian(net, lam * values)).fiedler
         assert scaled == pytest.approx(lam * base, abs=1e-10)
+
+
+# ------------------------------------------------------ low-spectrum kernel
+
+#: eigenvalue agreement with the full solve, in units of max|L|
+LOW_SPECTRUM_RTOL = 64 * np.finfo(float).eps
+
+
+def complete_network(n):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0])
+
+
+def test_low_spectrum_matches_full_solve():
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        net = random_connected_network(rng, n_min=5, n_max=30, extra_prob=0.2)
+        lap = nf.laplacian(net, random_conductivities(rng, net))
+        w, V = _low_spectrum(lap)
+        full = np.linalg.eigh(lap)[0]
+        assert w.size >= 4 and V.shape == (net.vertex_count, w.size)
+        assert np.abs(w - full[: w.size]).max() <= LOW_SPECTRUM_RTOL * np.abs(lap).max()
+        assert np.allclose(V.T @ V, np.eye(w.size), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "net, multiplicity, window",
+    [
+        # star K_{1,5}: eigenvalues 0, 1 (x4), 6; indices 0..3 all miss the
+        # end of the Fiedler eigenspace, so the window widens
+        (nf.new_network(6, [(0, v) for v in range(1, 6)], [1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 4, 6),
+        # K_6: eigenvalues 0, 6 (x5); the window covers all of n
+        (complete_network(6), 5, 6),
+        # hypercube Q_4: eigenvalues 0, 2 (x4), 4 (x6), ...; one doubling
+        # reaches past the Fiedler eigenspace and stops short of n = 16
+        (
+            nf.new_network(
+                16,
+                [(u, u ^ (1 << b)) for u in range(16) for b in range(4) if u < u ^ (1 << b)],
+                [1.0] + [0.0] * 14 + [-1.0],
+            ),
+            4,
+            8,
+        ),
+    ],
+)
+def test_low_spectrum_widens_over_degenerate_fiedler_value(net, multiplicity, window):
+    lap = nf.laplacian(net, np.ones(net.edge_count))
+    w, V = _low_spectrum(lap)
+    assert w.size == window
+    fied, vec, mult = fiedler_pair(w, V)
+    full = nf.spectral_decompose(lap)
+    assert mult == full.multiplicity == multiplicity
+    assert abs(fied - full.fiedler) <= LOW_SPECTRUM_RTOL * np.abs(lap).max()
+    assert np.abs(lap @ vec - fied * vec).max() <= 1e-12 * np.abs(lap).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_low_spectrum_of_small_networks(n):
+    net = nf.new_network(n, [(u, u + 1) for u in range(n - 1)], [1.0] + [0.0] * (n - 2) + [-1.0])
+    lap = nf.laplacian(net, np.linspace(0.5, 1.5, n - 1))
+    w, V = _low_spectrum(lap)
+    assert w.size == n and V.shape == (n, n)
+    full = np.linalg.eigh(lap)[0]
+    assert np.abs(w - full).max() <= LOW_SPECTRUM_RTOL * np.abs(lap).max()
+
+
+def test_fiedler_pair_from_partial_window():
+    # the partial V has fewer columns than rows: the vector's mean must be
+    # taken over the vertices, not over the eigenvalues in the window
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        net = random_connected_network(rng, n_min=9, n_max=20)
+        lap = nf.laplacian(net, random_conductivities(rng, net))
+        w, V = _low_spectrum(lap)
+        assert w.size < net.vertex_count
+        fied, vec, _ = fiedler_pair(w, V)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert abs(vec.sum()) <= 1e-12
+        assert np.abs(lap @ vec - fied * vec).max() <= 1e-9 * np.abs(lap).max()
+    # a disconnected support: 0 is a double eigenvalue, and the vector is
+    # still orthogonal to ones
+    net = nf.new_network(6, [(u, u + 1) for u in range(5)], [1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+    w, V = _low_spectrum(nf.laplacian(net, [1.0, 1.0, 0.0, 1.0, 1.0]))
+    fied, vec, mult = fiedler_pair(w, V)
+    assert abs(fied) <= 1e-12 and mult == 1
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert abs(vec.sum()) <= 1e-12
 
 
 # ------------------------------------------------------------ subgradient

@@ -170,6 +170,14 @@ def test_too_many_trees_rejected():
         next(iter(nf.enumerate_spanning_trees(net)))
 
 
+@pytest.mark.parametrize("n", [16, 20])
+def test_tree_count_is_exact_beyond_float_precision(n):
+    # Cayley: K_n has n^(n-2) spanning trees, past 2^53 for n >= 16
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    net = nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0])
+    assert nf.spanning_tree_count(net) == n ** (n - 2)
+
+
 def test_tree_count_overflow_rejected():
     # K_150 has 150^148 > 1e308 spanning trees: the determinant overflows
     n = 150

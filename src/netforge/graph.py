@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     DisconnectedGraphError,
@@ -51,6 +53,15 @@ class Network:
     # (u,v) and (v,u) entries, edge after edge
     laplacian_index: np.ndarray = field(repr=False, default=None)
     edge_index: dict = field(repr=False, default=None)
+    # reverse Cuthill-McKee order of the vertices (band position -> vertex),
+    # its inverse (vertex -> band position), the half-bandwidth b of the
+    # Laplacian in that order, and the flat positions in the column-major
+    # (b+1) x n lower band storage of each edge's (u,u), (v,v) and
+    # off-diagonal entries, edge after edge
+    band_order: np.ndarray = field(repr=False, default=None)
+    band_rank: np.ndarray = field(repr=False, default=None)
+    bandwidth: int = field(repr=False, default=0)
+    band_index: np.ndarray = field(repr=False, default=None)
 
     @property
     def edge_count(self) -> int:
@@ -237,7 +248,20 @@ def new_network(
     laplacian_index = np.column_stack(
         [edge_u * n + edge_u, edge_v * n + edge_v, edge_u * n + edge_v, edge_v * n + edge_u]
     ).ravel()
-    for arr in (edge_u, edge_v, lengths, laplacian_index):
+
+    pattern = csr_array(
+        (np.ones(2 * edge_u.size), (np.r_[edge_u, edge_v], np.r_[edge_v, edge_u])), shape=(n, n)
+    )
+    band_order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+    band_rank = np.empty(n, dtype=np.intp)
+    band_rank[band_order] = np.arange(n)
+    rank_u, rank_v = band_rank[edge_u], band_rank[edge_v]
+    low, offset = np.minimum(rank_u, rank_v), np.abs(rank_u - rank_v)
+    bandwidth = int(offset.max(initial=0))
+    rows = bandwidth + 1
+    band_index = np.column_stack([rank_u * rows, rank_v * rows, low * rows + offset]).ravel()
+
+    for arr in (edge_u, edge_v, lengths, laplacian_index, band_order, band_rank, band_index):
         arr.flags.writeable = False
     sources.flags.writeable = False
 
@@ -253,6 +277,10 @@ def new_network(
         lengths=lengths,
         laplacian_index=laplacian_index,
         edge_index=edge_index,
+        band_order=band_order,
+        band_rank=band_rank,
+        bandwidth=bandwidth,
+        band_index=band_index,
     )
 
 
@@ -282,6 +310,24 @@ def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     n = net.vertex_count
     flat = (weights[:, None] * _LAPLACIAN_SIGNS).ravel()
     return np.bincount(net.laplacian_index, flat, n * n).reshape(n, n)
+
+
+#: signs of an edge's three band entries, in ``band_index`` order
+_BAND_SIGNS = _LAPLACIAN_SIGNS[:3]
+
+
+def assemble_band_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
+    """Lower band storage of the Laplacian of the per-edge ``weights`` (not
+    validated) in band order: a Fortran-ordered (bandwidth + 1, n) array whose
+    entry [k, j] is the Laplacian entry of band positions (j + k, j).
+
+    Entries add their edges' weights in ascending edge order, as in
+    :func:`assemble_laplacian`, so the band equals the permuted dense
+    Laplacian bit for bit.
+    """
+    rows = net.bandwidth + 1
+    flat = (weights[:, None] * _BAND_SIGNS).ravel()
+    return np.bincount(net.band_index, flat, net.vertex_count * rows).reshape(-1, rows).T
 
 
 def active_cutoff(values: np.ndarray, threshold: float = ACTIVE_EDGE_THRESHOLD) -> float:

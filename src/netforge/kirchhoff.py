@@ -1,9 +1,11 @@
 """Flow conservation (Kirchhoff law) on the weighted graph Laplacian.
 
 Pressures solve L[C/L] P = S.  The operator is singular (constant vectors per
-connected component of the conductivity support), so each component is solved
-with a rank-one deflation that pins the component pressure sum to zero, and
-the system is solvable exactly when every component's sources balance.
+connected component of the conductivity support), so each component is
+grounded by a Dirichlet row at its vertex that comes last in the network's
+reverse Cuthill-McKee order, one banded Cholesky solve covers all
+components, and each component's pressures are shifted to sum to zero.  The
+system is solvable exactly when every component's sources balance.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbsv
 
 from .errors import DisconnectedSupportError, IllConditionedError
-from .graph import Network, assemble_laplacian, edge_values, support_components
+from .graph import Network, assemble_band_laplacian, edge_values, support_components
 
 #: per-component source balance is required within this fraction of max|S|
 COMPONENT_BALANCE_RTOL = 1e-10
@@ -40,63 +43,59 @@ class FlowSolution:
     solvable: bool
 
 
-def deflated_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve lap @ P = rhs on the sum-zero subspace for a connected-support
-    Laplacian, by adding a scaled all-ones rank-one term.
+def solve_pressures(net: Network, weights, comps, scale) -> np.ndarray:
+    """Pressures P with L[weights] P = ``net.sources`` summing to zero on
+    each support component in ``comps``, or None when some component's
+    sources do not balance within ``COMPONENT_BALANCE_RTOL * scale``.  A
+    single component needs no balance check: a network's sources balance.
 
-    The correction shifts only the constant-vector eigenvalue (scaled to the
-    operator's magnitude so conditioning is not degraded), leaving the
-    sum-zero solution of the original singular system untouched.  The
-    corrected matrix is symmetric positive definite, so a Cholesky solve
-    applies; its failure means the operator is singular to working precision.
+    Each component is grounded at its vertex last in band order: a unit
+    Dirichlet row and column with right-hand side 0 (isolated vertices get
+    pressure 0), so one ``dpbsv`` banded Cholesky solves all components.
+
+    Raises IllConditionedError when the grounded operator is not positive
+    definite to working precision or the residual of the ungrounded system
+    in some row i exceeds ``RESIDUAL_RTOL * (scale + sum_j |L_ij| |P_i - P_j|)``:
+    no relative change of RESIDUAL_RTOL in each edge conductance and in the
+    source scale then explains the residual (the solve is not backward stable).
     """
-    n = lap.shape[0]
-    alpha = lap.trace() / n
-    if not alpha > 0.0:
-        alpha = 1.0
-    _, P, info = dposv(lap + alpha / n, rhs)
+    S = net.sources
+    n, b = net.vertex_count, net.bandwidth
+    if len(comps) > 1 and any(abs(S[c].sum()) > COMPONENT_BALANCE_RTOL * scale for c in comps):
+        return None
+    ranks = [net.band_rank[c] for c in comps] if len(comps) > 1 else None
+    band = assemble_band_laplacian(net, weights)
+    lap = band.copy(order="F")
+    rhs = S[net.band_order]
+    # band position g's column sits at flat positions g (b+1) .. g (b+1) + b
+    # and its row at g (b+1) - k b for k = 1 .. min(b, g), none when b = 0
+    flat = band.ravel(order="F")
+    for g in (n - 1,) if ranks is None else [r.max() for r in ranks]:
+        flat[g * (b + 1) - min(b, g) * b : g * (b + 1) : max(b, 1)] = 0.0
+        flat[g * (b + 1) : (g + 1) * (b + 1)] = 0.0
+        flat[g * (b + 1)] = 1.0
+        rhs[g] = 0.0
+    _, x, info = dpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info != 0:
-        raise IllConditionedError("deflated operator is singular to working precision")
-    P -= P.sum() / n
-    return P
-
-
-def solve_pressures(lap, S, comps, scale) -> np.ndarray:
-    """Component-wise sum-zero solve of lap @ P = S for the support
-    components ``comps``, or None when some component's sources do not
-    balance within ``COMPONENT_BALANCE_RTOL * scale`` (the system is then
-    unsolvable).  A single component needs no balance check: a network's
-    sources balance by construction.
-
-    Raises IllConditionedError when a component operator is singular or
-    the residual of some row i exceeds
-    ``RESIDUAL_RTOL * (scale + sum_j |lap_ij| |P_i - P_j|)``: no relative
-    change of RESIDUAL_RTOL in each edge conductance and in the source
-    scale then explains the residual (the solve is not backward stable).
-    """
-    if len(comps) == 1:
-        P = deflated_solve(lap, S)
+        raise IllConditionedError("grounded operator is not positive definite to working precision")
+    if ranks is None:
+        x -= x.sum() / n
     else:
-        for comp in comps:
-            if abs(S[comp].sum()) > COMPONENT_BALANCE_RTOL * scale:
-                return None
-        P = np.zeros(lap.shape[0])
-        for comp in comps:
-            if comp.size == 1:
-                continue  # isolated balanced vertex: pressure 0
-            ix = np.ix_(comp, comp)
-            P[comp] = deflated_solve(lap[ix], S[comp])
-    residual = np.abs(lap @ P - S)
+        for r in ranks:
+            x[r] -= x[r].mean()
+
+    residual = np.abs(dsbmv(b, 1.0, lap, x, lower=1) - S[net.band_order])
     worst = residual.max()
+    P = x[net.band_rank]
     if worst > RESIDUAL_RTOL * scale:
         # large pressures leave a backward-stable solve residuals above
         # RESIDUAL_RTOL max|S|; measure each row against the fluxes through
         # its vertex too.  Conductance-weighted pressure differences, not
         # pressures, set that size, so the huge pressures a singular solve
-        # returns across a vanishing conductance do not raise the bound;
-        # the off-diagonal of a Laplacian is nonpositive
-        through = -(lap * np.abs(P[:, None] - P)).sum(axis=1)
-        if np.any(residual > RESIDUAL_RTOL * (scale + through)):
+        # returns across a vanishing conductance do not raise the bound
+        q = np.abs(weights * (P[net.edge_u] - P[net.edge_v]))
+        through = np.bincount(net.edge_u, q, n) + np.bincount(net.edge_v, q, n)
+        if np.any(residual > RESIDUAL_RTOL * (scale + through[net.band_order])):
             raise IllConditionedError(
                 f"relative solve residual {worst / scale if scale else worst:.3e}"
             )
@@ -108,15 +107,16 @@ def solve_kirchhoff(net: Network, C) -> FlowSolution:
 
     Connected components of the support graph (edges with C > 0) are
     identified first.  If every component's sources sum to zero (within
-    ``COMPONENT_BALANCE_RTOL * max|S|``) the reduced system is solved per
-    component with the sum-zero normalization; otherwise the solution is
-    marked unsolvable.  Fluxes follow from Q_e = (C_e / L_e) (P_u - P_v),
-    which is zero on every zero-conductivity edge.
+    ``COMPONENT_BALANCE_RTOL * max|S|``) the grounded system is solved by
+    :func:`solve_pressures` with the sum-zero normalization per component;
+    otherwise the solution is marked unsolvable.  Fluxes follow from
+    Q_e = (C_e / L_e) (P_u - P_v), which is zero on every zero-conductivity
+    edge.
 
     Raises
     ------
     IllConditionedError
-        If a component operator is singular to working precision or the
+        If the grounded operator is singular to working precision or the
         assembled solution fails the residual check of
         :func:`solve_pressures` - the signal for an optimizer to restart.
     """
@@ -126,8 +126,7 @@ def solve_kirchhoff(net: Network, C) -> FlowSolution:
     components = tuple(tuple(comp.tolist()) for comp in comps)
 
     weights = values * (1.0 / net.lengths)
-    lap = assemble_laplacian(net, weights)
-    P = solve_pressures(lap, S, comps, np.abs(S).max() if S.size else 0.0)
+    P = solve_pressures(net, weights, comps, np.abs(S).max() if S.size else 0.0)
     if P is None:
         nan_v = np.full(net.vertex_count, np.nan)
         nan_e = np.full(net.edge_count, np.nan)

@@ -251,8 +251,6 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     k = 0
     while k <= K:
-        lap_flow = assemble_laplacian(net, C * inv_L)
-
         w = V = vec = fied = mult = None
         if coef != 0.0:
             lap_raw = assemble_laplacian(net, C)
@@ -267,7 +265,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
                 comps = support_components(net, C)
 
         try:
-            P = solve_pressures(lap_flow, S, comps, s_scale)
+            P = solve_pressures(net, C * inv_L, comps, s_scale)
         except IllConditionedError:
             P = None
 

@@ -72,6 +72,57 @@ def test_network_is_immutable():
         net.sources[0] = 2.0
     with pytest.raises(Exception):
         net.vertex_count = 5
+    for name in ("band_order", "band_rank", "band_index"):
+        with pytest.raises(ValueError):
+            getattr(net, name)[0] = 1
+    with pytest.raises(Exception):
+        net.bandwidth = 0
+
+
+@pytest.mark.parametrize(
+    "n, edges, sources, pressures",
+    [(1, [], [0.0], [0.0]), (2, [(0, 1)], [1.0, -1.0], [0.25, -0.25])],
+)
+def test_smallest_networks_build_and_solve(n, edges, sources, pressures):
+    net = nf.new_network(n, edges, sources)
+    assert net.bandwidth == n - 1
+    assert sorted(net.band_order.tolist()) == list(range(n))
+    sol = nf.solve_kirchhoff(net, [2.0] * len(edges))
+    assert sol.solvable
+    assert np.allclose(sol.pressures, pressures, rtol=0.0, atol=1e-15)
+
+
+def _expand_band(band):
+    """Dense symmetric matrix of a lower band storage array."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        j = np.arange(n - k)
+        dense[j + k, j] = band[k, : n - k]
+        dense[j, j + k] = band[k, : n - k]
+    return dense
+
+
+def test_band_laplacian_is_the_permuted_dense_laplacian_bit_for_bit():
+    rng = np.random.default_rng(3)
+    nets = [random_connected_network(rng, n_min=2, n_max=30, extra_prob=0.2) for _ in range(20)]
+    for net in nets + [nf.seven_node_network(), nf.leaf_network(40, 1)]:
+        weights = rng.uniform(0.0, 2.0, net.edge_count)
+        weights[rng.random(net.edge_count) < 0.3] = 0.0
+        band = nf.graph.assemble_band_laplacian(net, weights)
+        assert band.shape == (net.bandwidth + 1, net.vertex_count)
+        assert band.flags.f_contiguous
+        order = net.band_order
+        dense = nf.graph.assemble_laplacian(net, weights)[np.ix_(order, order)]
+        assert _expand_band(band).tobytes() == dense.tobytes()
+        assert np.array_equal(net.band_rank[order], np.arange(net.vertex_count))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_mesh_bandwidth_stays_narrow(seed):
+    # the banded pressure solve costs O(n b^2); reverse Cuthill-McKee gives
+    # b between 37 and 53 on these planar meshes
+    assert nf.leaf_network(400, seed).bandwidth <= 100
 
 
 def test_min_edge_length():

@@ -100,6 +100,84 @@ def test_bridged_components_pressures():
         assert np.allclose(sol.pressures, [0.0, -1.0, 1.0, 0.0], atol=1e-12)
 
 
+def _oracle_pressures(net, C):
+    """Minimum-norm least-squares pressures: the solution whose sum is zero
+    on every support component."""
+    return np.linalg.lstsq(nf.laplacian(net, C, use_lengths=True), net.sources, rcond=None)[0]
+
+
+def _balanced_per_component(net, C, rng):
+    """``net`` with new random sources summing to zero on every support
+    component of ``C`` (zero on isolated vertices)."""
+    S = np.zeros(net.vertex_count)
+    for comp in nf.support_components(net, C):
+        if comp.size > 1:
+            s = rng.uniform(-1.0, 1.0, comp.size)
+            S[comp] = s - s.mean()
+    return nf.new_network(net.vertex_count, net.edges, S)
+
+
+def _sparse_support(rng, net):
+    C = random_conductivities(rng, net)
+    C[rng.random(net.edge_count) < 0.6] = 0.0
+    return C
+
+
+def test_grounded_solve_matches_least_squares_on_connected_supports():
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        net = random_connected_network(rng, n_min=2, n_max=30, extra_prob=0.2)
+        C = random_conductivities(rng, net)
+        sol = nf.solve_kirchhoff(net, C)
+        assert sol.solvable and len(sol.components) == 1
+        assert np.allclose(sol.pressures, _oracle_pressures(net, C), rtol=0.0, atol=1e-10)
+
+
+def test_grounded_solve_matches_least_squares_on_disconnected_supports():
+    # balanced components, isolated zero-source vertices among them; then a
+    # bridge of positive conductance between two components
+    rng = np.random.default_rng(9)
+    isolated = bridged = 0
+    for _ in range(40):
+        net = random_connected_network(rng, n_min=4, n_max=30, extra_prob=0.2)
+        C = _sparse_support(rng, net)
+        net = _balanced_per_component(net, C, rng)
+        sol = nf.solve_kirchhoff(net, C)
+        assert sol.solvable
+        assert np.allclose(sol.pressures, _oracle_pressures(net, C), rtol=0.0, atol=1e-10)
+        label = np.empty(net.vertex_count, dtype=int)
+        for i, comp in enumerate(sol.components):
+            label[list(comp)] = i
+            assert abs(sol.pressures[list(comp)].sum()) <= 1e-12 * len(comp)
+            isolated += len(comp) == 1
+        across = np.flatnonzero(label[net.edge_u] != label[net.edge_v])
+        if across.size:
+            C[across[0]] = 0.7
+            sol = nf.solve_kirchhoff(net, C)
+            assert sol.solvable
+            assert np.allclose(sol.pressures, _oracle_pressures(net, C), rtol=0.0, atol=1e-10)
+            bridged += 1
+    assert isolated > 0 and bridged > 0
+
+
+def test_unbalanced_components_stay_unsolvable():
+    rng = np.random.default_rng(10)
+    unbalanced = 0
+    for _ in range(40):
+        net = random_connected_network(rng, n_min=4, n_max=30, extra_prob=0.2)
+        C = _sparse_support(rng, net)
+        comps = nf.support_components(net, C)
+        scale = np.abs(net.sources).max()
+        if all(abs(net.sources[c].sum()) <= 1e-10 * scale for c in comps):
+            continue
+        unbalanced += 1
+        assert nf.kirchhoff.solve_pressures(net, C / net.lengths, comps, scale) is None
+        sol = nf.solve_kirchhoff(net, C)
+        assert not sol.solvable
+        assert np.all(np.isnan(sol.pressures)) and np.all(np.isnan(sol.fluxes))
+    assert unbalanced > 30
+
+
 def test_vertex_conservation_random():
     rng = np.random.default_rng(42)
     for _ in range(25):

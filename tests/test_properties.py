@@ -147,3 +147,33 @@ def test_support_cycle_found_exactly_when_the_support_is_not_a_forest(n, data):
         assert len(set(cycle)) == len(cycle) >= 3
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert values[net.edge_index[(min(a, b), max(a, b))]] > 0.0
+
+
+@st.composite
+def supported_networks(draw):
+    """A network and conductivities whose support (edges with C > 0) may be
+    disconnected, with integer sources times a power of two that sum to
+    exactly zero on every support component (zero on isolated vertices)."""
+    net = draw(networks(min_length=0.5, max_length=2.0))
+    C = np.array([draw(st.sampled_from([0.0, 0.1, 0.7, 2.0])) for _ in range(net.edge_count)])
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    sources = np.zeros(net.vertex_count)
+    for comp in nf.support_components(net, C):
+        ints = draw(st.lists(st.integers(-1000, 1000), min_size=comp.size - 1, max_size=comp.size - 1))
+        sources[comp] = [scale * k for k in ints] + [-scale * sum(ints)]
+    return nf.new_network(net.vertex_count, net.edges, sources), C
+
+
+@PROPERTY_SETTINGS
+@given(supported_networks())
+def test_grounded_solve_sums_to_zero_per_component_and_conserves_flow(case):
+    net, C = case
+    sol = nf.solve_kirchhoff(net, C)
+    assert sol.solvable
+    P_scale = np.abs(sol.pressures).max()
+    for comp in sol.components:
+        assert abs(sol.pressures[list(comp)].sum()) <= 1e-12 * len(comp) * P_scale
+    n = net.vertex_count
+    Q = sol.fluxes
+    divergence = np.bincount(net.edge_u, Q, n) - np.bincount(net.edge_v, Q, n)
+    assert np.abs(divergence - net.sources).max() <= 1e-9 * np.abs(net.sources).max()

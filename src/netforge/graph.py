@@ -309,7 +309,8 @@ def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     """
     n = net.vertex_count
     flat = (weights[:, None] * _LAPLACIAN_SIGNS).ravel()
-    return np.bincount(net.laplacian_index, flat, n * n).reshape(n, n)
+    # bincount of no entries is int64 whatever the weights
+    return np.bincount(net.laplacian_index, flat, n * n).astype(float, copy=False).reshape(n, n)
 
 
 #: signs of an edge's three band entries, in ``band_index`` order
@@ -327,7 +328,8 @@ def assemble_band_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     """
     rows = net.bandwidth + 1
     flat = (weights[:, None] * _BAND_SIGNS).ravel()
-    return np.bincount(net.band_index, flat, net.vertex_count * rows).reshape(-1, rows).T
+    band = np.bincount(net.band_index, flat, net.vertex_count * rows).astype(float, copy=False)
+    return band.reshape(-1, rows).T
 
 
 def active_cutoff(values: np.ndarray, threshold: float = ACTIVE_EDGE_THRESHOLD) -> float:

@@ -33,12 +33,17 @@ from .graph import (
     support_components,
 )
 from .kirchhoff import solve_kirchhoff, solve_pressures
-from .spectral import _low_spectrum, fiedler_pair, laplacian
+from .spectral import _low_spectrum, _warm_block, _warm_fiedler, fiedler_pair, laplacian
 
 MAX_RESTARTS = 10
 
 #: factor applied to tau0 on every restart
 RESTART_SHRINK = 0.5
+
+#: mu > 0 runs on networks with at least this many vertices take the Fiedler
+#: pair of most iterates from the warm banded solve (spectral._warm_fiedler);
+#: below it the dense low-spectrum window is cheaper
+WARM_MIN_VERTICES = 50
 
 #: the run counts as diverged once max(C) exceeds this times the initial scale
 DIVERGENCE_FACTOR = 1e8
@@ -213,9 +218,18 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     the same kernels as :func:`solve_kirchhoff`, :func:`energy` and
     :func:`subgradient_step`.  The trace holds the records of iterates 0, s,
     2s, ... (s = ``trace_stride``), K and the best one (``best_record``), in
-    k order and once each.  Every Fiedler evaluation is the low-spectrum
-    window of :func:`spectral._low_spectrum`, as in :func:`modified_energy`
-    and :func:`subgradient_step`.
+    k order and once each.
+
+    At mu > 0 on networks of at least ``WARM_MIN_VERTICES`` vertices, an
+    iterate's Fiedler value and vector come from the warm banded solve
+    :func:`spectral._warm_fiedler`, started from the previous iterate's
+    Fiedler block.  Iterate 0, the iterate after a restart, every record
+    iterate and every iterate whose warm solve is refused use the
+    low-spectrum window of :func:`spectral._low_spectrum` instead, as
+    :func:`modified_energy` and :func:`subgradient_step` do.  A best iterate
+    found by the warm solve is evaluated again through that window, so
+    ``best_F`` is ``modified_energy(best_C)`` and every record holds the
+    window's values.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
     feasible iterate exists to restart from, and when ``dsyevr`` fails.
@@ -236,6 +250,10 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     C = rng.uniform(0.0, 1.0, net.edge_count)
     divergence_cap = DIVERGENCE_FACTOR * max(1.0, float(C.max()))
 
+    # the warm solve starts from the last iterate's Fiedler block; without
+    # one (warm off, iterate 0, after a restart) the iterate is evaluated cold
+    warm = coef != 0.0 and net.vertex_count >= WARM_MIN_VERTICES
+    block = None
     whole = [np.arange(net.vertex_count)]
     support_key = (C > 0.0).tobytes()
     comps = None  # components of the support of C; None until computed
@@ -251,15 +269,26 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     k = 0
     while k <= K:
-        w = V = vec = fied = mult = None
+        w = vec = fied = mult = pair = None
+        record = k % config.trace_stride == 0 or k == K
         if coef != 0.0:
-            lap_raw = assemble_laplacian(net, C)
-            w, V = _low_spectrum(lap_raw)
+            if block is not None and not record:
+                pair = _warm_fiedler(net, C, block)
+            if pair is None:
+                lap_raw = assemble_laplacian(net, C)
+                w, V = _low_spectrum(lap_raw)
+                fied, vec, mult = fiedler_pair(w, V)
+                if warm:
+                    block = _warm_block(net, vec, V)
+            else:
+                fied, block = pair
+                vec = block[0, net.band_rank]
 
         if comps is None:
-            # a safely positive second eigenvalue of the raw Laplacian
-            # certifies a connected support without a union-find pass
-            if w is not None and w[1] > 1e-10 * lap_raw.diagonal().max():
+            # the warm solve's inertia certificate, or a safely positive second
+            # eigenvalue of the raw Laplacian, proves a connected support
+            # without a union-find pass
+            if pair is not None or (w is not None and w[1] > 1e-10 * lap_raw.diagonal().max()):
                 comps = whole
             else:
                 comps = support_components(net, C)
@@ -283,6 +312,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
                 break
             tau0 *= RESTART_SHRINK
             C = best_C.copy()
+            block = None
             support_key = (C > 0.0).tobytes()
             comps = None
             k += 1
@@ -291,9 +321,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         e_kin = kinetic_energy(P, S)
         e_met = metabolic_energy(C, L, params)
         F = e_kin + e_met
-
         if coef != 0.0:
-            fied, vec, mult = fiedler_pair(w, V)
             F -= coef * fied
 
         tau = tau0 / math.sqrt(step_idx + 1)
@@ -301,7 +329,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             best_F = F
             best_C = C.copy()
             best = (k, F, e_kin, e_met, tau, w, fied, mult)
-        if k % config.trace_stride == 0 or k == K:
+        if record:
             trace.append(_record(net, C, k, F, e_kin, e_met, tau, w, fied, mult))
 
         if k == K:
@@ -322,6 +350,15 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     if termination == "completed" and restarts:
         termination = "restarted_then_completed"
+
+    k_best, _, e_kin, e_met, tau, w, *_ = best
+    if coef != 0.0 and w is None:
+        # the best iterate came from the warm solve: evaluate it again through
+        # the low-spectrum window, so best_F is modified_energy(best_C)
+        w, V = _low_spectrum(assemble_laplacian(net, best_C))
+        fied, _, mult = fiedler_pair(w, V)
+        best_F = e_kin + e_met - coef * fied
+        best = (k_best, best_F, e_kin, e_met, tau, w, fied, mult)
 
     # the best iterate's record is built only when no stride or final record
     # holds it already (at mu = 0 that saves an eigensolve)

@@ -9,17 +9,30 @@ number with respect to the edge weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsyevr
 
 from .errors import DisconnectedSupportError, IllConditionedError, NonSymmetricError, TooLargeError
-from .graph import Network, assemble_laplacian, edge_values, support_components
+from .graph import Network, assemble_band_laplacian, assemble_laplacian, edge_values, support_components
 
 #: absolute / relative floor of the eigenvalue gap that still counts as a
 #: degenerate (multiple) Fiedler eigenvalue
 GAP_TOL = 1e-8
+
+#: relative margin of the warm Fiedler solve (:func:`_warm_fiedler`): its
+#: shift lies this fraction below the previous Fiedler vector's Rayleigh
+#: quotient, its inertia certificate this fraction below the Ritz value, and
+#: a larger Ritz residual or Cholesky resolution refuses the answer
+WARM_MARGIN = 1e-3
+
+#: the warm solve stops once the Ritz residual is below this fraction of the
+#: Ritz value, or after WARM_STEPS shift-invert steps
+WARM_RTOL = 1e-6
+WARM_STEPS = 3
 
 #: brute-force Cheeger search refuses graphs above this vertex count
 CHEEGER_MAX_VERTICES = 16
@@ -127,6 +140,115 @@ def fiedler_pair(w: np.ndarray, V: np.ndarray):
                 vec = candidate / norm
                 break
     return fiedler, vec, multiplicity
+
+
+def _path_cholesky(band: np.ndarray, shift: float):
+    """Banded Cholesky factor of Q^T (L - shift I) Q, or None when that
+    matrix is not positive definite.
+
+    ``band`` is the lower band of L in band order (as from
+    :func:`graph.assemble_band_laplacian`) and Q the n x (n-1) path basis
+    e_j - e_{j+1} of the complement of the all-ones vector, so the product is
+    a band one wider.  Q spans an invariant subspace of L, so by Sylvester's
+    law of inertia the factorization succeeds exactly when every eigenvalue
+    of L off the constant mode lies above ``shift``.
+    """
+    rows, n = band.shape
+    # P[j, k + 1] = L[j + k, j] - shift [k = 0]; column 0 holds L[j - 1, j],
+    # the upper neighbour the product needs on its diagonal
+    P = np.zeros((n, rows + 3))
+    P[:, 1 : rows + 1] = band.T
+    P[:, 1] -= shift
+    P[1:, 0] = band[1, :-1]
+    product = P[:-1, 1:-1] + P[1:, 1:-1] - P[:-1, 2:] - P[1:, :-2]
+    factor, info = dpbtrf(product.T, lower=1, overwrite_ab=1)
+    return None if info else factor
+
+
+def _warm_fiedler(net: Network, C: np.ndarray, block: np.ndarray):
+    """The Fiedler value of the raw-conductivity Laplacian L of ``C`` and a new
+    block, from the previous iterate's block, or None when the warm solve
+    cannot certify its answer.
+
+    ``block`` holds two orthonormal vectors orthogonal to the all-ones vector,
+    in band order, the first the previous Fiedler vector v.  The shift
+    sigma sits ``WARM_MARGIN`` below the Rayleigh quotient sum_e C_e (v_u -
+    v_v)^2, an upper bound on the new Fiedler value; a successful factor at
+    sigma proves no eigenvalue lies below it (:func:`_path_cholesky`).  Up to
+    ``WARM_STEPS`` shift-invert steps y = Q (Q^T (L - sigma I) Q)^-1 Q^T x on
+    the block, each followed by a 2 x 2 Rayleigh-Ritz step built from edge
+    differences, run until the Ritz residual |L x - theta x| falls below
+    ``WARM_RTOL`` theta.  The answer is refused when that residual still
+    exceeds ``WARM_MARGIN`` theta, when theta (1 - ``WARM_MARGIN``) lies above
+    sigma and a factor there fails (the inertia certificate), or when the
+    Cholesky's resolution at this size reaches ``WARM_MARGIN`` theta.  The new
+    block holds the two Ritz vectors, the Fiedler vector first.
+    """
+    ru, rv = net.band_rank[net.edge_u], net.band_rank[net.edge_v]
+    band = assemble_band_laplacian(net, C)
+    dv = block[0, ru] - block[0, rv]
+    sigma = float(C @ (dv * dv)) * (1.0 - WARM_MARGIN)
+    factor = _path_cholesky(band, sigma)
+    if factor is None:
+        return None
+
+    Y = block
+    for _ in range(WARM_STEPS):
+        z = dpbtrs(factor, (Y[:, :-1] - Y[:, 1:]).T, lower=1)[0].T
+        Y = np.zeros_like(Y)
+        Y[:, :-1] = z
+        Y[:, 1:] -= z
+        _orthonormalize(Y)
+        D = Y[:, ru] - Y[:, rv]
+        (a, b), (_, c) = (D * C) @ D.T
+        # the Jacobi rotation that diagonalizes [[a, b], [b, c]]
+        t = 0.0
+        if b != 0.0:
+            h = (c - a) / (2.0 * b)
+            t = math.copysign(1.0, h) / (abs(h) + math.hypot(h, 1.0))
+        cs = 1.0 / math.hypot(t, 1.0)
+        sn = t * cs
+        rotated = np.array([[cs, -sn], [sn, cs]]) @ Y
+        fiedler, other = a - t * b, c + t * b
+        if other < fiedler:
+            fiedler, rotated = other, rotated[::-1]
+        Y = rotated
+        x = Y[0]
+        residual = np.linalg.norm(dsbmv(net.bandwidth, 1.0, band, x, lower=1) - fiedler * x)
+        if residual <= WARM_RTOL * fiedler:
+            break
+
+    # normwise backward error of the banded Cholesky, about (b + 2) eps |A|
+    # with |A| <= |Q|^2 |L| <= 8 max(diag L), seen through the smallest
+    # eigenvalue 4 sin^2(pi / 2n) of Q^T Q
+    n = net.vertex_count
+    eps = np.finfo(float).eps
+    resolution = 2.0 * (net.bandwidth + 2) * eps * band[0].max() / math.sin(math.pi / (2 * n)) ** 2
+    if not (residual <= WARM_MARGIN * fiedler and resolution <= WARM_MARGIN * fiedler):
+        return None
+    certified = fiedler * (1.0 - WARM_MARGIN)
+    if certified > sigma and _path_cholesky(band, certified) is None:
+        return None
+    return fiedler, Y
+
+
+def _orthonormalize(Y: np.ndarray) -> np.ndarray:
+    """Make the two rows of Y orthonormal in place, the first keeping its
+    direction.  Gram-Schmidt runs twice, which keeps the second row
+    orthogonal to the first even when the two are nearly parallel."""
+    Y[0] /= np.linalg.norm(Y[0])
+    Y[1] -= (Y[0] @ Y[1]) * Y[0]
+    Y[1] -= (Y[0] @ Y[1]) * Y[0]
+    Y[1] /= np.linalg.norm(Y[1])
+    return Y
+
+
+def _warm_block(net: Network, vec: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The block :func:`_warm_fiedler` starts from, built from a low-spectrum
+    window: the Fiedler vector ``vec`` and the window's third eigenvector
+    orthonormalized against it and the all-ones vector, as rows in band
+    order."""
+    return _orthonormalize(np.stack([vec, V[:, 2] - V[:, 2].mean()])[:, net.band_order])
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

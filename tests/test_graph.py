@@ -106,7 +106,8 @@ def _expand_band(band):
 def test_band_laplacian_is_the_permuted_dense_laplacian_bit_for_bit():
     rng = np.random.default_rng(3)
     nets = [random_connected_network(rng, n_min=2, n_max=30, extra_prob=0.2) for _ in range(20)]
-    for net in nets + [nf.seven_node_network(), nf.leaf_network(40, 1)]:
+    # the one-vertex network has no edges, and still a float Laplacian
+    for net in nets + [nf.seven_node_network(), nf.leaf_network(40, 1), nf.new_network(1, [], [0.0])]:
         weights = rng.uniform(0.0, 2.0, net.edge_count)
         weights[rng.random(net.edge_count) < 0.3] = 0.0
         band = nf.graph.assemble_band_laplacian(net, weights)
@@ -114,6 +115,7 @@ def test_band_laplacian_is_the_permuted_dense_laplacian_bit_for_bit():
         assert band.flags.f_contiguous
         order = net.band_order
         dense = nf.graph.assemble_laplacian(net, weights)[np.ix_(order, order)]
+        assert band.dtype == dense.dtype == np.float64
         assert _expand_band(band).tobytes() == dense.tobytes()
         assert np.array_equal(net.band_rank[order], np.arange(net.vertex_count))
 

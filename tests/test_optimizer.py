@@ -6,6 +6,7 @@ import pytest
 
 import netforge as nf
 from conftest import random_conductivities, random_connected_network
+from netforge.spectral import _low_spectrum
 
 
 def triangle(sources=(1.0, -1.0, 0.0)):
@@ -207,6 +208,176 @@ def test_optimize_shares_the_energy_kernels():
 def test_optimize_requires_linear_cost():
     with pytest.raises(ValueError):
         nf.optimize(triangle(), nf.ModelParams(gamma=0.5, nu=1.0), nf.OptimConfig(iters=10))
+
+
+# ----------------------------------------------------- warm Fiedler solve
+
+@pytest.mark.parametrize("n, mu, warm", [(40, 1.0, False), (60, 1.0, True), (120, 0.0, False)])
+def test_warm_solve_runs_at_mu_above_zero_from_the_size_switch(monkeypatch, n, mu, warm):
+    # the leaf acceptance mesh (n = 40) stays on the low-spectrum window
+    calls = []
+    warm_fiedler = nf.optimizer._warm_fiedler
+
+    def counted(*args):
+        calls.append(args)
+        return warm_fiedler(*args)
+
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", counted)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+    nf.optimize(nf.leaf_network(n, 0), params, nf.OptimConfig(iters=20, seed=1))
+    assert len(calls) == (19 if warm else 0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_warm_fiedler_values_match_the_low_spectrum_window(monkeypatch, mu):
+    net = nf.leaf_network(120, 0)
+    attempts, errors = [], []
+    warm_fiedler = nf.optimizer._warm_fiedler
+
+    def checked(net_, C, block):
+        pair = warm_fiedler(net_, C, block)
+        attempts.append(pair)
+        if pair is not None:
+            cold = _low_spectrum(nf.laplacian(net_, C))[0][1]
+            errors.append(abs(pair[0] - cold) / cold)
+        return pair
+
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", checked)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+    nf.optimize(net, params, nf.OptimConfig(iters=300, seed=0))
+    # iterates 1 .. 299 try the warm solve (0 and 300 are records); the first
+    # steps may move the Fiedler value too far for its shift
+    assert len(attempts) == 299 and len(errors) >= 290
+    assert max(errors) <= 1e-10
+
+
+def test_warm_solve_resumes_cold_after_a_restart(monkeypatch):
+    events = []
+    warm_fiedler, low_spectrum = nf.optimizer._warm_fiedler, nf.optimizer._low_spectrum
+    solve_pressures = nf.optimizer.solve_pressures
+
+    def logged_warm(*args):
+        events.append("warm")
+        return warm_fiedler(*args)
+
+    def logged_cold(*args):
+        events.append("cold")
+        return low_spectrum(*args)
+
+    def logged_solve(*args):
+        try:
+            P = solve_pressures(*args)
+        except nf.IllConditionedError:
+            P = None
+        if P is None:
+            events.append("restart")
+            raise nf.IllConditionedError("solve failed")
+        return P
+
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", logged_warm)
+    monkeypatch.setattr(nf.optimizer, "_low_spectrum", logged_cold)
+    monkeypatch.setattr(nf.optimizer, "solve_pressures", logged_solve)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)
+    run = nf.optimize(nf.leaf_network(120, 0), params, nf.OptimConfig(tau0=10.0, iters=150, seed=1))
+    assert run.restarts >= 2
+    assert events.count("restart") == run.restarts and "warm" in events
+    # the iterate after each restart goes straight to the low-spectrum window
+    after = [events[i + 1] for i, event in enumerate(events) if event == "restart"]
+    assert after == ["cold"] * run.restarts
+
+
+def test_failed_inertia_factorizations_take_the_cold_path(monkeypatch):
+    net = nf.leaf_network(60, 0)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)
+    config = nf.OptimConfig(iters=100, seed=1, trace_stride=30)
+    switch = nf.optimizer.WARM_MIN_VERTICES
+    monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", net.vertex_count + 1)
+    cold = nf.optimize(net, params, config)
+
+    solves = []
+    low_spectrum = nf.optimizer._low_spectrum
+
+    def counted_low_spectrum(mat):
+        solves.append(mat.shape)
+        return low_spectrum(mat)
+
+    monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", switch)
+    monkeypatch.setattr(nf.optimizer, "_low_spectrum", counted_low_spectrum)
+    monkeypatch.setattr(nf.spectral, "_path_cholesky", lambda band, shift: None)
+    run = nf.optimize(net, params, config)
+    assert len(solves) == config.iters + 1
+    assert run.best_F == cold.best_F
+    assert np.array_equal(run.best_C.values, cold.best_C.values)
+    assert run.trace == cold.trace
+
+
+#: the record builder, taken before any test wraps it
+_RECORD = nf.optimizer._record
+
+
+def _capture_records(monkeypatch):
+    """Every record optimize builds, with the iterate's C, E_kin and E_met."""
+    records = []
+
+    def captured(net, C, k, F, e_kin, e_met, tau, w, fied, mult):
+        rec = _RECORD(net, C, k, F, e_kin, e_met, tau, w, fied, mult)
+        records.append((C.copy(), e_kin, e_met, rec))
+        return rec
+
+    monkeypatch.setattr(nf.optimizer, "_record", captured)
+    return records
+
+
+def _assert_cold_report(net, params, run, records):
+    """best_F and every trace record are what the low-spectrum window gives."""
+    assert run.best_F == nf.modified_energy(net, run.best_C, params)
+    assert run.best_record.F == run.best_F
+    assert sorted((rec for *_, rec in records), key=lambda rec: rec.k) == run.trace
+    for C, e_kin, e_met, rec in records:
+        F = nf.modified_energy(net, C, params)
+        assert rec == _RECORD(net, C, rec.k, F, e_kin, e_met, rec.tau, None, None, None)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_warm_runs_report_low_spectrum_evaluations(monkeypatch, mu):
+    net = nf.leaf_network(120, 0)
+    warm = []
+    warm_fiedler = nf.optimizer._warm_fiedler
+
+    def counted_warm(*args):
+        pair = warm_fiedler(*args)
+        warm.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", counted_warm)
+    records = _capture_records(monkeypatch)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+    run = nf.optimize(net, params, nf.OptimConfig(iters=150, seed=1, trace_stride=40))
+    assert len(warm) == 146 and sum(warm) >= 140
+    _assert_cold_report(net, params, run, records)
+
+
+def test_a_best_iterate_from_the_warm_solve_is_reevaluated(monkeypatch):
+    # leaf runs improve at every iterate, so their best is the final record;
+    # the seven-node run at mu = 1 oscillates, and with the switch lowered its
+    # best iterate 922 comes from the warm solve
+    net = nf.seven_node_network()
+    certified = {}
+    warm_fiedler = nf.optimizer._warm_fiedler
+
+    def logged_warm(net_, C, block):
+        pair = warm_fiedler(net_, C, block)
+        certified[C.tobytes()] = pair is not None
+        return pair
+
+    monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", 2)
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", logged_warm)
+    records = _capture_records(monkeypatch)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)
+    run = nf.optimize(net, params, nf.OptimConfig(iters=1000, seed=1))
+    assert certified[run.best_C.values.tobytes()]
+    assert run.best_record.k not in (0, 1000)
+    _assert_cold_report(net, params, run, records)
 
 
 # ------------------------------------------------------------------ sweep

@@ -1,10 +1,11 @@
 """Property tests: invariants checked on generated inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netforge as nf
+from netforge.spectral import _low_spectrum, _path_cholesky
 from netforge.trees import _support_cycle
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -177,3 +178,37 @@ def test_grounded_solve_sums_to_zero_per_component_and_conserves_flow(case):
     Q = sol.fluxes
     divergence = np.bincount(net.edge_u, Q, n) - np.bincount(net.edge_v, Q, n)
     assert np.abs(divergence - net.sources).max() <= 1e-9 * np.abs(net.sources).max()
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A network of 2-16 vertices (a random tree plus extra edges) and edge
+    weights of 0.1-10, in half the draws with zeros among them, so the
+    weighted support is often disconnected."""
+    n = draw(st.integers(2, 16))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    net = nf.new_network(n, sorted(edges), np.zeros(n))
+    weight = st.floats(0.1, 10.0)
+    if draw(st.booleans()):
+        weight = st.just(0.0) | weight
+    weights = [draw(weight) for _ in range(net.edge_count)]
+    return net, np.array(weights)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_graphs(), st.floats(-2.0, 2.0))
+def test_path_cholesky_succeeds_exactly_below_the_fiedler_value(graph, r):
+    # Sylvester's law of inertia on Q^T (L - sigma I) Q, Q the path basis of
+    # the complement of the ones vector: positive definite iff sigma < lambda_1.
+    # The Fiedler value of a disconnected support is 0; there sigma is r itself
+    net, weights = graph
+    fied = _low_spectrum(nf.laplacian(net, weights))[0][1]
+    connected = len(nf.support_components(net, weights)) == 1
+    scale = fied if connected else 1.0
+    sigma = fied + r * scale
+    assume(abs(sigma - fied) > 1e-6 * scale)
+    factor = _path_cholesky(nf.graph.assemble_band_laplacian(net, weights), sigma)
+    assert (factor is not None) == (sigma < fied)

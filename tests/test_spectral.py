@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netforge as nf
-from netforge.spectral import _low_spectrum, fiedler_pair
+from netforge.spectral import _low_spectrum, _path_cholesky, _warm_block, _warm_fiedler, fiedler_pair
 from conftest import central_difference, random_conductivities, random_connected_network
 
 
@@ -246,6 +246,121 @@ def test_fiedler_pair_from_partial_window():
     assert abs(fied) <= 1e-12 and mult == 1
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     assert abs(vec.sum()) <= 1e-12
+
+
+# ---------------------------------------------------------- warm kernel
+
+def _expand_lower_band(ab):
+    """Dense lower triangle of a lower band storage array."""
+    rows, n = ab.shape
+    dense = np.zeros((n, n))
+    for k in range(min(rows, n)):
+        j = np.arange(n - k)
+        dense[j + k, j] = ab[k, : n - k]
+    return dense
+
+
+def _cold_pair(net, values):
+    """Fiedler value and warm-start block of the low-spectrum window."""
+    w, V = _low_spectrum(nf.laplacian(net, values))
+    fied, vec, _ = fiedler_pair(w, V)
+    return fied, _warm_block(net, vec, V)
+
+
+def test_path_cholesky_factors_the_projected_laplacian():
+    # R R^T = Q^T (L - shift I) Q with Q the path basis e_j - e_{j+1} in band order
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        net = random_connected_network(rng, n_min=2, n_max=30, extra_prob=0.2)
+        values = random_conductivities(rng, net)
+        n = net.vertex_count
+        lap = nf.laplacian(net, values)[np.ix_(net.band_order, net.band_order)]
+        shift = 0.5 * _low_spectrum(lap)[0][1]
+        factor = _path_cholesky(nf.graph.assemble_band_laplacian(net, values), shift)
+        assert factor.shape == (net.bandwidth + 2, n - 1)
+        Q = np.eye(n, n - 1) - np.eye(n, n - 1, -1)
+        R = _expand_lower_band(factor)
+        expected = Q.T @ (lap - shift * np.eye(n)) @ Q
+        assert np.abs(R @ R.T - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_warm_fiedler_matches_the_low_spectrum_window():
+    rng = np.random.default_rng(41)
+    net = nf.leaf_network(120, 0)
+    values = rng.uniform(0.5, 1.5, net.edge_count)
+    _, block = _cold_pair(net, values)
+    # a nearby state, as the next optimizer iterate would be
+    moved = values * rng.uniform(0.97, 1.03, net.edge_count)
+    fied, new_block = _warm_fiedler(net, moved, block)
+    cold, _ = _cold_pair(net, moved)
+    assert abs(fied - cold) <= 1e-10 * cold
+    assert np.allclose(new_block @ new_block.T, np.eye(2), atol=1e-12)
+    assert np.abs(new_block.sum(axis=1)).max() <= 1e-12
+    vec = new_block[0, net.band_rank]
+    lap = nf.laplacian(net, moved)
+    assert np.linalg.norm(lap @ vec - fied * vec) <= nf.spectral.WARM_RTOL * fied
+
+
+def test_warm_fiedler_refuses_a_disconnected_support():
+    # cutting the path 0-1-...-59 in the middle makes the Fiedler value 0, below
+    # any positive shift, so the factorization at the shift fails
+    net = nf.new_network(60, [(u, u + 1) for u in range(59)], [1.0] + [0.0] * 58 + [-1.0])
+    values = np.ones(net.edge_count)
+    _, block = _cold_pair(net, values)
+    values[29] = 0.0
+    assert _warm_fiedler(net, values, block) is None
+
+
+def test_warm_fiedler_refuses_below_the_cholesky_resolution():
+    # a path of 200 vertices held together by a 1e-8 link: its Fiedler value,
+    # about 2e-10, lies within WARM_MARGIN of the banded Cholesky's worst-case
+    # error seen through Q^T Q, whose smallest eigenvalue is about (pi / n)^2
+    net = nf.new_network(200, [(u, u + 1) for u in range(199)], [1.0] + [0.0] * 198 + [-1.0])
+    values = np.ones(net.edge_count)
+    values[99] = 1e-8
+    fied, block = _cold_pair(net, values)
+    assert fied < 1e-9
+    assert _warm_fiedler(net, values, block) is None
+
+
+def test_warm_fiedler_refuses_an_unconverged_vector(monkeypatch):
+    # a start vector 5% off the Fiedler vector, scaled so the shift sits near
+    # 0: three steps leave a Ritz value well within WARM_MARGIN, which the
+    # certificate accepts, but a residual above WARM_MARGIN times it
+    rng = np.random.default_rng(42)
+    net = nf.leaf_network(80, 0)
+    values = rng.uniform(0.5, 1.5, net.edge_count)
+    order = net.band_order
+    w, V = np.linalg.eigh(nf.laplacian(net, values)[np.ix_(order, order)])
+    start = np.sqrt(1.0 - 0.05**2) * V[:, 1] + 0.05 * V[:, 2]
+    block = np.stack([0.01 * start, V[:, 3]])
+    assert _warm_fiedler(net, values, block) is None
+    monkeypatch.setattr(nf.spectral, "WARM_STEPS", 40)
+    assert _warm_fiedler(net, values, block)[0] == pytest.approx(w[1], rel=1e-10)
+
+
+def test_warm_fiedler_refuses_when_the_certificate_fails(monkeypatch):
+    # a start vector scaled by 0.98 puts the shift near 0.96 of the Fiedler
+    # value, so the certificate at (1 - WARM_MARGIN) of the Ritz value needs a
+    # second factorization; when only that one fails, the answer is refused
+    rng = np.random.default_rng(42)
+    net = nf.leaf_network(80, 0)
+    values = rng.uniform(0.5, 1.5, net.edge_count)
+    fied, block = _cold_pair(net, values)
+    block[0] *= 0.98
+    assert _warm_fiedler(net, values, block)[0] == pytest.approx(fied, rel=1e-10)
+
+    shifts = []
+    path_cholesky = nf.spectral._path_cholesky
+
+    def certificate_fails(band, shift):
+        shifts.append(shift)
+        return path_cholesky(band, shift) if len(shifts) == 1 else None
+
+    monkeypatch.setattr(nf.spectral, "_path_cholesky", certificate_fails)
+    assert _warm_fiedler(net, values, block) is None
+    assert len(shifts) == 2
+    assert shifts[0] < shifts[1] == pytest.approx(fied * (1.0 - nf.spectral.WARM_MARGIN), rel=1e-10)
 
 
 # ------------------------------------------------------------ subgradient

@@ -45,6 +45,10 @@ RESTART_SHRINK = 0.5
 #: below it the dense low-spectrum window is cheaper
 WARM_MIN_VERTICES = 50
 
+#: from the WARM_BACKOFF-th warm solve refused in a row on, the next attempt
+#: waits 1, 2, 4, ... iterates: O(log K) attempts in a run that refuses all
+WARM_BACKOFF = 3
+
 #: the run counts as diverged once max(C) exceeds this times the initial scale
 DIVERGENCE_FACTOR = 1e8
 
@@ -226,7 +230,8 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     Fiedler block.  Iterate 0, the iterate after a restart, every record
     iterate and every iterate whose warm solve is refused use the
     low-spectrum window of :func:`spectral._low_spectrum` instead, as
-    :func:`modified_energy` and :func:`subgradient_step` do.  A best iterate
+    :func:`modified_energy` and :func:`subgradient_step` do; so do the
+    iterates of the ``WARM_BACKOFF`` wait after refusals.  A best iterate
     found by the warm solve is evaluated again through that window, so
     ``best_F`` is ``modified_energy(best_C)`` and every record holds the
     window's values.
@@ -254,6 +259,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     # one (warm off, iterate 0, after a restart) the iterate is evaluated cold
     warm = coef != 0.0 and net.vertex_count >= WARM_MIN_VERTICES
     block = None
+    refused = retry = 0  # warm solves refused in a row, iterate of the next attempt
     whole = [np.arange(net.vertex_count)]
     support_key = (C > 0.0).tobytes()
     comps = None  # components of the support of C; None until computed
@@ -272,13 +278,15 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         w = vec = fied = mult = pair = None
         record = k % config.trace_stride == 0 or k == K
         if coef != 0.0:
-            if block is not None and not record:
+            if block is not None and not record and k >= retry:
                 pair = _warm_fiedler(net, C, block)
+                refused = 0 if pair is not None else refused + 1
+                retry = k + 1 + ((1 << refused) >> WARM_BACKOFF)
             if pair is None:
                 lap_raw = assemble_laplacian(net, C)
                 w, V = _low_spectrum(lap_raw)
                 fied, vec, mult = fiedler_pair(w, V)
-                if warm:
+                if warm and k + 1 >= retry:  # the next iterate may try the warm solve
                     block = _warm_block(net, vec, V)
             else:
                 fied, block = pair

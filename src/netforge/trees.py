@@ -12,20 +12,12 @@ exponential) solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import sqrt
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .energy import metabolic_energy
-from .errors import (
-    DisconnectedSupportError,
-    NoCycleError,
-    NotStationaryError,
-    TooManyTreesError,
-)
+from .errors import DisconnectedSupportError, NoCycleError, NotStationaryError, TooManyTreesError
 from .graph import (
     ACTIVE_EDGE_THRESHOLD,
     Conductivities,
@@ -40,6 +32,10 @@ from .kirchhoff import solve_kirchhoff
 
 #: default cap on the estimated number of trees the enumerator will visit
 TREE_LIMIT = 10**6
+
+#: entries of a stack of trees processed at once, which bounds the memory of
+#: the enumeration's frontier and of the batched float work
+STACK_ENTRIES = 2**13
 
 #: relative slack allowed in the stationarity relation (P_u - P_v)^2 = nu L^2
 STATIONARITY_RTOL = 1e-6
@@ -74,9 +70,7 @@ def make_spanning_tree(net: Network, edge_ids) -> SpanningTree:
         raise ValueError(f"edge ids must lie in [0, {net.edge_count})")
 
     # n - 1 edges that connect all n vertices form a tree
-    ids = list(edge_ids)
-    pairs = zip(net.edge_u[ids].tolist(), net.edge_v[ids].tolist())
-    if component_count(n, pairs) != 1:
+    if None in _search(net, edge_ids)[1][1:]:
         raise ValueError("edge ids do not span all vertices")
     return SpanningTree(edge_ids)
 
@@ -117,117 +111,117 @@ def spanning_tree_count(net: Network) -> int:
     return int(M[-1, -1])
 
 
-def _trees(edges, verts, chosen, vertex_count):
-    """Contraction/deletion enumeration over (eid, a, b) triples; yields edge-id
-    tuples in lexicographic order of the sorted id sets."""
-    if len(verts) == 1:
-        yield tuple(chosen)
-        return
-    if len(edges) < len(verts) - 1:
-        return
-    eid, a, b = edges[0]
-    rest = edges[1:]
-
-    contracted = []
-    for id2, x, y in rest:
-        if x == b:
-            x = a
-        if y == b:
-            y = a
-        if x != y:
-            contracted.append((id2, x, y))
-    chosen.append(eid)
-    yield from _trees(contracted, verts - {b}, chosen, vertex_count)
-    chosen.pop()
-
-    # deleting the edge must keep verts connected; contraction keeps vertex
-    # labels, so the vertex_count - len(verts) contracted-away ones are isolated
-    if component_count(vertex_count, ((x, y) for _, x, y in rest)) + len(verts) == vertex_count + 1:
-        yield from _trees(rest, verts, chosen, vertex_count)
+def _search(net: Network, edge_ids):
+    """Breadth-first search from vertex 0 along ``edge_ids``: the vertices
+    reached in order, the edge each was reached by (None for vertex 0 and
+    unreached ones) and the adjacency lists of (neighbour, edge id) pairs."""
+    adj = [[] for _ in range(net.vertex_count)]
+    for e in edge_ids:
+        u, v, _ = net.edges[e]
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    order, via = [0], [None] * net.vertex_count
+    for x in order:
+        for y, e in adj[x]:
+            if y and via[y] is None:
+                via[y] = e
+                order.append(y)
+    return order, via, adj
 
 
-def _spanning_tree_ids(net: Network):
-    """The ascending edge-id tuples of :func:`enumerate_spanning_trees`."""
-    # the float determinant settles large counts without the exact count's
-    # cubic big-integer elimination
+def _spanning_trees(net: Network):
+    """Every spanning tree once, as two (T, |V|-1) arrays in lexicographic
+    order of the trees' ascending edge ids: child rows and those ids.
+
+    A child row roots the tree at vertex 0; column j holds the edge joining
+    vertex j + 1 to its parent.  Rows grow a vertex v at a time in
+    breadth-first order, one copy per admissible parent u (a neighbour that
+    reaches vertex 0 without v), and ``top`` holds the end of each vertex's
+    parent chain (0, or a vertex without a parent yet): hanging v from u
+    closes a cycle exactly when ``top[u] == v``."""
+    # the float determinant spares large counts the exact count's cubic cost
     estimate = _tree_count_estimate(net)
     if estimate > 2 * TREE_LIMIT or spanning_tree_count(net) > TREE_LIMIT:
         raise TooManyTreesError(f"about {estimate:.6g} spanning trees exceed the limit {TREE_LIMIT}")
 
-    edges = [(eid, int(u), int(v)) for eid, (u, v, _) in enumerate(net.edges)]
-    yield from _trees(edges, frozenset(range(net.vertex_count)), [], net.vertex_count)
+    n = net.vertex_count
+    order, _, adj = _search(net, range(net.edge_count))
+    top = np.arange(n, dtype=np.min_scalar_type(n))[None]
+    child = np.zeros((1, n - 1), dtype=np.min_scalar_type(net.edge_count))
+    step = max(1, STACK_ENTRIES // n)
+    for v in order[1:]:
+        reach = _search(net, [e for e, (a, b, _) in enumerate(net.edges) if v not in (a, b)])[1]
+        parents = [(u, e) for u, e in adj[v] if u == 0 or reach[u] is not None]
+        pieces = []
+        for start in range(0, len(top), step):
+            tops, rows = top[start : start + step], child[start : start + step]
+            for u, e in parents:
+                keep = tops[:, u] != v
+                grown = rows[keep]
+                grown[:, v - 1] = e
+                moved = tops[keep] if v != order[-1] else tops[:0]  # no tops after the last
+                np.copyto(moved, moved[:, u, None], where=moved == v)
+                pieces.append((moved, grown))
+        top, child = (np.concatenate(stack) for stack in zip(*pieces))
+        del pieces, tops, rows  # the last frontier's memory
+    ids = np.sort(child, axis=1)
+    order = np.lexsort(ids.T[::-1]) if n > 1 else slice(None)
+    return child[order], ids[order]
 
 
 def enumerate_spanning_trees(net: Network):
-    """Exhaustive, duplicate-free iterator over all spanning trees.
+    """Exhaustive, duplicate-free iterator over all spanning trees, in
+    lexicographic order of their ascending edge ids.  It refuses to start
+    when the matrix-tree count exceeds ``TREE_LIMIT`` (the count grows like
+    |V|^(|V|-2) on complete graphs)."""
+    ids = _spanning_trees(net)[1]
+    for start in range(0, len(ids), STACK_ENTRIES):
+        yield from map(SpanningTree, map(tuple, ids[start : start + STACK_ENTRIES].tolist()))
 
-    The tree count is estimated first with the matrix-tree determinant and
-    the enumeration refuses to start beyond ``TREE_LIMIT`` (the count grows
-    like |V|^(|V|-2) on complete graphs).
-    """
-    return map(SpanningTree, _spanning_tree_ids(net))  # ascending ids of a tree by construction
 
+def _tree_states(net: Network, child: np.ndarray, ids: np.ndarray, params: ModelParams):
+    """(T, |E|) fluxes, the conductivities on ``ids`` and the (T,) energies
+    (summed over ``ids`` in order) of trees given as in :func:`_spanning_trees`.
 
-def _tree_fluxes(net: Network, id_rows: np.ndarray) -> np.ndarray:
-    """Forced fluxes of a stack of trees, given as a (T, |V|-1) array of edge
-    ids, as a (T, |E|) array (zero off each tree).
-
-    Each tree's fluxes solve its incidence system B_T Q = S without vertex
-    0's row (the source balance implies it).  B_T is totally unimodular, so
-    elimination only adds and subtracts sources: the fluxes are subtree sums
-    of the sources.  One sparse LU in the natural column order eliminates
-    each tree's block of the stack on its own, so a tree's fluxes do not
-    depend on its block; one-column panels keep SuperLU's workspace small.
-    """
-    count, size = id_rows.shape
-    ends = np.stack([net.edge_u[id_rows], net.edge_v[id_rows]], axis=-1)
-    keep = ends > 0  # vertex 0's row is dropped
-    rows = (ends + (np.arange(count) * size - 1)[:, None, None])[keep]
-    signs = np.broadcast_to([1.0, -1.0], ends.shape)[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
-    system = csc_array((signs, rows, indptr), shape=(count * size, count * size))
-    lu = splu(system, permc_spec="NATURAL", panel_size=1)
-    solved = lu.solve(np.tile(net.sources[1:], count))
+    A vertex sends its subtree's source to its parent, sum_k P^k S with P
+    moving each value to the parent and the root keeping its own.  Depths
+    are below 2^J, J = (|V| - 1).bit_length(), so that is prod_{j<J} (I +
+    P^(2^j)) S: one ``np.bincount`` along the 2^j-th ancestors per factor.
+    Each row is summed alone in a fixed order, whatever stack it is in."""
+    count, n = child.shape[0], child.shape[1] + 1
+    kids, rows = np.arange(1, n), np.arange(count)[:, None]
+    parent = (net.edge_u + net.edge_v)[child] - kids
+    up = np.hstack([rows * n, parent + rows * n]).ravel()
+    sums = np.tile(net.sources, count)
+    for _ in range((n - 1).bit_length()):
+        sums += np.bincount(up, sums, count * n)
+        up = up[up]
     fluxes = np.zeros((count, net.edge_count))
-    np.put_along_axis(fluxes, id_rows, solved.reshape(count, size), axis=1)
-    return fluxes
-
-
-def _tree_states(net: Network, id_rows: np.ndarray, params: ModelParams):
-    """Forced fluxes, stationary conductivities and energies of a stack of
-    trees, given as a (T, |V|-1) array of edge ids: two (T, |E|) arrays
-    (zero off each tree) and a (T,) array."""
-    fluxes = _tree_fluxes(net, id_rows)
-    values = (fluxes**2 / params.nu) ** (1.0 / (params.gamma + 1.0))
-    ratio = np.divide(fluxes**2, values, out=np.zeros_like(values), where=values > 0.0)
-    kinetic = np.vecdot(ratio, net.lengths)
-    return fluxes, values, kinetic + metabolic_energy(values, net.lengths, params)
+    # the canonical edge (u, v) runs u -> v
+    fluxes[rows, child] = np.where(parent > kids, 1.0, -1.0) * sums.reshape(count, n)[:, 1:]
+    on = fluxes[rows, ids]
+    lengths = net.lengths[ids]
+    values = (on**2 / params.nu) ** (1.0 / (params.gamma + 1.0))
+    ratio = np.divide(on**2, values, out=np.zeros_like(values), where=values > 0.0)
+    return fluxes, values, np.vecdot(ratio, lengths) + metabolic_energy(values, lengths, params)
 
 
 def _tree_energy_blocks(net: Network, params: ModelParams):
-    """Energies of all spanning trees in enumeration order, as blocks
-    ``(id_rows, energies)``: a (T, |V|-1) array of edge ids and the (T,)
-    energies of those trees' local minimizers.
-
-    A block of 2^10 / |V| trees stacks a sparse system of about 2^10 columns;
-    larger blocks were at most 10% faster and raised a search's peak memory.
-    """
-    trees = _spanning_tree_ids(net)
-    block_size = max(1, 2**10 // net.vertex_count)
-    while block := list(islice(trees, block_size)):
-        id_rows = np.array(block, dtype=np.intp)
-        yield id_rows, _tree_states(net, id_rows, params)[2]
+    """Energies of all spanning trees in enumeration order, in blocks of
+    ``STACK_ENTRIES`` / |V| trees: (T, |V|-1) ascending edge ids and the (T,)
+    energies of those trees' local minimizers."""
+    child, ids = _spanning_trees(net)
+    size = max(1, STACK_ENTRIES // net.vertex_count)
+    for start in range(0, len(child), size):
+        block = slice(start, start + size)
+        yield ids[block], _tree_states(net, child[block], ids[block], params)[2]
 
 
 def tree_fluxes(net: Network, tree: SpanningTree) -> np.ndarray:
     """Fluxes forced by vertex conservation on the tree, as a full per-edge
-    vector (zero off the tree).
-
-    Removing a tree edge splits the vertices in two; the flux on the
-    canonical edge (u, v) equals the net source of u's side, oriented
-    u -> v.  The fluxes do not depend on the model parameters.
-    """
-    return _tree_fluxes(net, np.array([tree.edge_ids], dtype=np.intp))[0]
+    vector (zero off the tree): on the canonical tree edge (u, v), the net
+    source of u's side, oriented u -> v, whatever the model parameters."""
+    return tree_local_minimizer(net, tree, ModelParams(gamma=1.0, nu=1.0)).fluxes
 
 
 def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) -> TreeSolution:
@@ -239,13 +233,11 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
     flux get zero conductivity, leaving their endpoints isolated in the
     support; that is harmless exactly when those vertices carry no source.
     """
-    fluxes, values, energies = _tree_states(net, np.array([tree.edge_ids], dtype=np.intp), params)
-    return TreeSolution(
-        tree=tree,
-        fluxes=fluxes[0],
-        conductivities=Conductivities(values[0]),
-        energy=float(energies[0]),
-    )
+    ids = np.array([tree.edge_ids], dtype=np.intp)
+    child = np.array([_search(net, tree.edge_ids)[1][1:]], dtype=np.intp)
+    fluxes, values, energies = _tree_states(net, child, ids, params)
+    conductivities = Conductivities(np.bincount(ids[0], values[0], net.edge_count))
+    return TreeSolution(tree, fluxes[0], conductivities, float(energies[0]))
 
 
 def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:

@@ -311,6 +311,34 @@ def test_failed_inertia_factorizations_take_the_cold_path(monkeypatch):
     assert run.trace == cold.trace
 
 
+def test_refused_warm_solves_back_off(monkeypatch):
+    # at tau0 = 1 every step moves the Fiedler vector too far for the warm
+    # shift, so every warm solve is refused: the backoff keeps the attempts
+    # near log2 K, and the run equals a cold one bit for bit
+    net = nf.leaf_network(60, 0)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)
+    config = nf.OptimConfig(tau0=1.0, iters=300, seed=0)
+    switch = nf.optimizer.WARM_MIN_VERTICES
+    monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", net.vertex_count + 1)
+    cold = nf.optimize(net, params, config)
+
+    attempts = []
+    warm_fiedler = nf.optimizer._warm_fiedler
+
+    def counted(*args):
+        attempts.append(warm_fiedler(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", switch)
+    monkeypatch.setattr(nf.optimizer, "_warm_fiedler", counted)
+    run = nf.optimize(net, params, config)
+    assert attempts and all(pair is None for pair in attempts)
+    assert len(attempts) <= 2 * math.log2(config.iters)
+    assert run.best_F == cold.best_F
+    assert np.array_equal(run.best_C.values, cold.best_C.values)
+    assert run.trace == cold.trace
+
+
 #: the record builder, taken before any test wraps it
 _RECORD = nf.optimizer._record
 
@@ -359,8 +387,8 @@ def test_warm_runs_report_low_spectrum_evaluations(monkeypatch, mu):
 
 def test_a_best_iterate_from_the_warm_solve_is_reevaluated(monkeypatch):
     # leaf runs improve at every iterate, so their best is the final record;
-    # the seven-node run at mu = 1 oscillates, and with the switch lowered its
-    # best iterate 922 comes from the warm solve
+    # the seven-node run at mu = 1 oscillates, and with the switch lowered and
+    # no backoff after refusals its best iterate 922 comes from the warm solve
     net = nf.seven_node_network()
     certified = {}
     warm_fiedler = nf.optimizer._warm_fiedler
@@ -371,6 +399,7 @@ def test_a_best_iterate_from_the_warm_solve_is_reevaluated(monkeypatch):
         return pair
 
     monkeypatch.setattr(nf.optimizer, "WARM_MIN_VERTICES", 2)
+    monkeypatch.setattr(nf.optimizer, "WARM_BACKOFF", 10**6)
     monkeypatch.setattr(nf.optimizer, "_warm_fiedler", logged_warm)
     records = _capture_records(monkeypatch)
     params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)

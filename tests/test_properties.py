@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import netforge as nf
 from netforge.spectral import _low_spectrum, _path_cholesky
-from netforge.trees import _support_cycle
+from netforge.trees import _support_cycle, _tree_energy_blocks
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -212,3 +212,50 @@ def test_path_cholesky_succeeds_exactly_below_the_fiedler_value(graph, r):
     assume(abs(sigma - fied) > 1e-6 * scale)
     factor = _path_cholesky(nf.graph.assemble_band_laplacian(net, weights), sigma)
     assert (factor is not None) == (sigma < fied)
+
+
+@st.composite
+def bridged_networks(draw):
+    """A connected network of 2-9 vertices: two parts (random trees of 1-4
+    vertices plus up to three extra edges each) joined by a bridge, whose
+    ends are articulation points unless their part is a single vertex, and
+    in half the draws a pendant vertex.  Labels are shuffled, so vertex 0 may
+    lie anywhere; the sources are dyadic, so subtree sums are exact."""
+    sizes = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
+    n = sum(sizes) + draw(st.integers(0, 1))
+    edges, start = set(), 0
+    for size in sizes:
+        vertices = st.integers(start, start + size - 1)
+        edges |= {(draw(st.integers(start, v - 1)), v) for v in range(start + 1, start + size)}
+        edges |= {(min(e), max(e)) for e in draw(st.lists(st.tuples(vertices, vertices), max_size=3)) if e[0] != e[1]}
+        start += size
+    edges.add((draw(st.integers(0, sizes[0] - 1)), draw(st.integers(sizes[0], start - 1))))
+    if n > start:
+        edges.add((draw(st.integers(0, start - 1)), start))
+    label = draw(st.permutations(range(n)))
+    edge_list = [(label[u], label[v], draw(st.floats(0.5, 2.0))) for u, v in sorted(edges)]
+    ints = draw(st.lists(st.integers(-1000, 1000), min_size=n - 1, max_size=n - 1))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    return nf.new_network(n, edge_list, [scale * k for k in ints] + [-scale * sum(ints)])
+
+
+@PROPERTY_SETTINGS
+@given(bridged_networks(), st.sampled_from([0.5, 1.0, 1.5]))
+def test_spanning_tree_enumeration_invariants(net, gamma):
+    trees = [tree.edge_ids for tree in nf.enumerate_spanning_trees(net)]
+    # strictly ascending in lexicographic order, hence unique; one per tree
+    assert all(a < b for a, b in zip(trees, trees[1:]))
+    assert len(trees) == nf.spanning_tree_count(net)
+    n = net.vertex_count
+    params = nf.ModelParams(gamma=gamma, nu=1.0)
+    singles = []
+    for ids in trees:
+        tree = nf.make_spanning_tree(net, ids)
+        assert tree.edge_ids == ids
+        Q = nf.tree_fluxes(net, tree)
+        assert np.array_equal(np.bincount(net.edge_u, Q, n) - np.bincount(net.edge_v, Q, n), net.sources)
+        singles.append(nf.tree_local_minimizer(net, tree, params).energy)
+    # a tree's energy does not depend on the block it is evaluated in
+    blocks = list(_tree_energy_blocks(net, params))
+    assert [tuple(row) for ids, _ in blocks for row in ids.tolist()] == trees
+    assert np.array_equal(np.concatenate([energies for _, energies in blocks]), singles)

@@ -11,7 +11,6 @@ cross-checks.
 from .datasets import leaf_network, seven_node_network
 from .energy import (
     EnergyBreakdown,
-    convexity_probe,
     energy,
     energy_gradient,
     kinetic_bound_check,
@@ -23,11 +22,9 @@ from .errors import (
     IllConditionedError,
     NetforgeError,
     NetworkValidationError,
-    NoCycleError,
     NonFiniteError,
     NonpositiveLengthError,
     NonSymmetricError,
-    NotStationaryError,
     SelfLoopError,
     TooLargeError,
     TooManyTreesError,
@@ -54,7 +51,6 @@ from .io import (
 )
 from .kirchhoff import (
     FlowSolution,
-    kirchhoff_continuity_probe,
     solve_kirchhoff,
 )
 from .optimizer import (
@@ -69,10 +65,8 @@ from .optimizer import (
     sweep_mu,
 )
 from .spectral import (
-    ProbeResult,
     SpectralResult,
     cheeger_bruteforce,
-    fiedler_concavity_probe,
     fiedler_subgradient,
     laplacian,
     spectral_decompose,
@@ -90,10 +84,8 @@ from .trees import (
     enumerate_spanning_trees,
     global_tree_search,
     is_loop_free,
-    loop_perturbation,
     make_spanning_tree,
     spanning_tree_count,
-    tree_fluxes,
     tree_local_minimizer,
 )
 

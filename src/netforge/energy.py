@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DisconnectedSupportError
 from .graph import ModelParams, Network, edge_values
 from .kirchhoff import solve_kirchhoff
-from .spectral import ProbeResult, laplacian, spectral_decompose
+from .spectral import _low_spectrum, laplacian
 
 
 @dataclass(frozen=True)
@@ -92,30 +92,6 @@ def energy_gradient(net: Network, C, params: ModelParams) -> np.ndarray:
     return -dp * dp / net.lengths + params.nu * power * net.lengths
 
 
-def convexity_probe(
-    net: Network, C1, C2, params: ModelParams, samples: int = 9
-) -> ProbeResult:
-    """Midpoint convexity check of the energy along the segment [C1, C2].
-
-    Verifies E(a C1 + (1-a) C2) <= a E(C1) + (1-a) E(C2) + 1e-9 at
-    ``samples`` interior values of a.  Convexity is guaranteed for
-    gamma >= 1 only; with gamma < 1 a failing probe is the expected
-    nonconvex behaviour, reported through ``worst_violation``.
-    """
-    c1 = edge_values(net, C1)
-    c2 = edge_values(net, C2)
-    e1 = energy(net, c1, params).total
-    e2 = energy(net, c2, params).total
-    worst = -np.inf
-    for alpha in np.linspace(0.0, 1.0, samples + 2)[1:-1]:
-        bound = alpha * e1 + (1.0 - alpha) * e2
-        if not isfinite(bound):
-            continue
-        emix = energy(net, alpha * c1 + (1.0 - alpha) * c2, params).total
-        worst = max(worst, emix - bound)
-    return ProbeResult(ok=worst <= 1e-9, worst_violation=float(worst))
-
-
 def kinetic_bound_check(net: Network, C) -> tuple:
     """Both sides of the spectral bound E_kin <= ||S||^2 / fiedler(C / L).
 
@@ -132,6 +108,6 @@ def kinetic_bound_check(net: Network, C) -> tuple:
     ekin = kinetic_energy(sol.pressures, net.sources) if sol.solvable else np.inf
     if len(sol.components) != 1:
         return ekin, np.inf
-    fiedler = spectral_decompose(laplacian(net, values, use_lengths=True)).fiedler
+    fiedler = float(_low_spectrum(laplacian(net, values, use_lengths=True))[0][1])
     bound = s_norm2 / fiedler if fiedler > 0.0 else np.inf
     return ekin, bound

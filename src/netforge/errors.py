@@ -56,11 +56,3 @@ class TooLargeError(NetforgeError, ValueError):
 class TooManyTreesError(NetforgeError):
     """Estimated spanning-tree count exceeds the enumeration limit."""
 
-
-class NoCycleError(NetforgeError):
-    """No active cycle exists in the conductivity support."""
-
-
-class NotStationaryError(NetforgeError):
-    """The stationarity relation required for an energy-preserving cycle
-    perturbation does not hold."""

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbsv
 
-from .errors import DisconnectedSupportError, IllConditionedError
+from .errors import IllConditionedError
 from .graph import Network, assemble_band_laplacian, edge_values, support_components
 
 #: per-component source balance is required within this fraction of max|S|
@@ -135,31 +135,3 @@ def solve_kirchhoff(net: Network, C) -> FlowSolution:
     fluxes = weights * (P[net.edge_u] - P[net.edge_v])
     return FlowSolution(P, fluxes, components, solvable=True)
 
-
-def kirchhoff_continuity_probe(net: Network, C, delta: float) -> float:
-    """Empirical Lipschitz estimate of the flux map C -> Q.
-
-    Perturbs each edge conductivity by +/- delta (skipping probes that would
-    leave the nonnegative cone or the solvable set) and returns the largest
-    observed ||Q' - Q||_inf / delta.  Requires a connected support, where the
-    flux map is differentiable and Lipschitz.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    values = edge_values(net, C)
-    base = solve_kirchhoff(net, values)
-    if len(base.components) != 1:
-        raise DisconnectedSupportError("continuity probe requires a connected support")
-
-    worst = 0.0
-    for k in range(net.edge_count):
-        for sign in (1.0, -1.0):
-            perturbed = values.copy()
-            perturbed[k] += sign * delta
-            if perturbed[k] < 0.0:
-                continue
-            probe = solve_kirchhoff(net, perturbed)
-            if not probe.solvable:
-                continue
-            worst = max(worst, np.abs(probe.fluxes - base.fluxes).max() / delta)
-    return worst

@@ -57,14 +57,6 @@ class SpectralResult:
     eigenvectors: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of a convexity/concavity midpoint probe."""
-
-    ok: bool
-    worst_violation: float
-
-
 def laplacian(net: Network, C, use_lengths: bool = False) -> np.ndarray:
     """Dense matrix Laplacian D - W of the weighted adjacency.
 
@@ -91,9 +83,12 @@ def _low_spectrum(lap: np.ndarray):
     The window holds indices 0..3 (all of them below n = 4) and doubles until
     its last eigenvalue lies beyond the gap tolerance of the Fiedler value or
     it covers all n, so every eigenvalue equal to the Fiedler value is in it.
-    Raises IllConditionedError when ``dsyevr`` fails.
+    Raises ValueError below 2 x 2, where a second eigenvalue does not exist,
+    and IllConditionedError when ``dsyevr`` fails.
     """
     n = lap.shape[0]
+    if n < 2:
+        raise ValueError("need at least two vertices for a Fiedler value")
     count = min(n, 4)
     while True:
         w, V, _, _, info = dsyevr(lap, range="I", iu=count)
@@ -258,7 +253,8 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def spectral_decompose(mat) -> SpectralResult:
-    """Eigendecomposition of a symmetric matrix with Fiedler bookkeeping.
+    """Eigendecomposition of a symmetric matrix with Fiedler bookkeeping, the
+    public full-spectrum call; library code reads :func:`_low_spectrum`.
 
     Raises NonSymmetricError when the input is not symmetric (within
     1e-12 relative) and ValueError for matrices smaller than 2x2, where a
@@ -301,27 +297,9 @@ def fiedler_subgradient(net: Network, C) -> np.ndarray:
         raise DisconnectedSupportError(
             "Fiedler subgradient requires a connected conductivity support"
         )
-    result = spectral_decompose(laplacian(net, values))
-    dv = result.fiedler_vector[net.edge_u] - result.fiedler_vector[net.edge_v]
+    vec = fiedler_pair(*_low_spectrum(laplacian(net, values)))[1]
+    dv = vec[net.edge_u] - vec[net.edge_v]
     return dv * dv
-
-
-def fiedler_concavity_probe(net: Network, C1, C2, samples: int = 9) -> ProbeResult:
-    """Midpoint-style concavity check of the Fiedler number along a segment.
-
-    Evaluates f(a*C1 + (1-a)*C2) >= a*f(C1) + (1-a)*f(C2) - 1e-9 at
-    ``samples`` interior values of a and reports the worst violation.
-    """
-    c1 = edge_values(net, C1)
-    c2 = edge_values(net, C2)
-    f1 = spectral_decompose(laplacian(net, c1)).fiedler
-    f2 = spectral_decompose(laplacian(net, c2)).fiedler
-    worst = -np.inf
-    for alpha in np.linspace(0.0, 1.0, samples + 2)[1:-1]:
-        mix = alpha * c1 + (1.0 - alpha) * c2
-        fmix = spectral_decompose(laplacian(net, mix)).fiedler
-        worst = max(worst, alpha * f1 + (1.0 - alpha) * f2 - fmix)
-    return ProbeResult(ok=worst <= 1e-9, worst_violation=float(worst))
 
 
 def cheeger_bruteforce(net: Network, C=None) -> float:

@@ -12,12 +12,11 @@ exponential) solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .energy import metabolic_energy
-from .errors import DisconnectedSupportError, NoCycleError, NotStationaryError, TooManyTreesError
+from .errors import TooManyTreesError
 from .graph import (
     ACTIVE_EDGE_THRESHOLD,
     Conductivities,
@@ -26,9 +25,7 @@ from .graph import (
     active_edges,
     assemble_laplacian,
     component_count,
-    edge_values,
 )
-from .kirchhoff import solve_kirchhoff
 
 #: default cap on the estimated number of trees the enumerator will visit
 TREE_LIMIT = 10**6
@@ -36,9 +33,6 @@ TREE_LIMIT = 10**6
 #: entries of a stack of trees processed at once, which bounds the memory of
 #: the enumeration's frontier and of the batched float work
 STACK_ENTRIES = 2**13
-
-#: relative slack allowed in the stationarity relation (P_u - P_v)^2 = nu L^2
-STATIONARITY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -217,13 +211,6 @@ def _tree_energy_blocks(net: Network, params: ModelParams):
         yield ids[block], _tree_states(net, child[block], ids[block], params)[2]
 
 
-def tree_fluxes(net: Network, tree: SpanningTree) -> np.ndarray:
-    """Fluxes forced by vertex conservation on the tree, as a full per-edge
-    vector (zero off the tree): on the canonical tree edge (u, v), the net
-    source of u's side, oriented u -> v, whatever the model parameters."""
-    return tree_local_minimizer(net, tree, ModelParams(gamma=1.0, nu=1.0)).fluxes
-
-
 def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) -> TreeSolution:
     """Stationary tree-supported conductivities C_e = (Q_e^2 / nu)^(1/(gamma+1)).
 
@@ -260,72 +247,3 @@ def is_loop_free(net: Network, C, threshold: float = ACTIVE_EDGE_THRESHOLD) -> b
     )
     return ids.size == net.vertex_count - comps
 
-
-def _support_cycle(net: Network, values):
-    """Vertex sequence of a cycle of the positive-conductivity subgraph, or
-    None.  Peeling pendant edges leaves the 2-core, empty exactly on a forest;
-    each core vertex has two edges to leave by, so the walk must close."""
-    u, v = net.edge_u[values > 0.0], net.edge_v[values > 0.0]
-    while u.size:
-        degree = np.bincount(np.concatenate([u, v]))
-        core = (degree[u] > 1) & (degree[v] > 1)
-        if core.all():
-            break
-        u, v = u[core], v[core]
-    if not u.size:
-        return None
-
-    adj = {}  # (core edge index, other end) at each vertex, in edge-id order
-    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-        adj.setdefault(a, []).append((i, b))
-        adj.setdefault(b, []).append((i, a))
-    path, vertex, via = [], int(u[0]), -1
-    while vertex not in path:
-        path.append(vertex)
-        via, vertex = next((e, w) for e, w in adj[vertex] if e != via)
-    return path[path.index(vertex):]
-
-
-def loop_perturbation(net: Network, C, params: ModelParams, epsilon: float) -> Conductivities:
-    """Energy-preserving circular-flow perturbation along an active cycle.
-
-    At a stationary state with linear metabolic cost, every active edge
-    satisfies (P_u - P_v)^2 = nu L^2.  Adding a circular flow of magnitude
-    ``epsilon`` along an active cycle and shifting each cycle conductivity by
-    (epsilon / sqrt(nu)) * sign(P_a - P_b) then leaves the energy unchanged.
-
-    The cycle closes a walk through the 2-core of the support (C > 0) that
-    starts on its lowest edge and leaves each vertex by the lowest other edge.
-
-    Raises NoCycleError when the support is acyclic, NotStationaryError when
-    the stationarity relation fails on the cycle (beyond 1e-6 relative), and
-    ValueError when the shifted conductivities leave the nonnegative cone.
-    """
-    if params.gamma != 1.0:
-        raise ValueError("cycle perturbation requires the linear metabolic cost (gamma == 1)")
-    values = edge_values(net, C)
-
-    cycle = _support_cycle(net, values)
-    if cycle is None:
-        raise NoCycleError("conductivity support contains no cycle")
-
-    sol = solve_kirchhoff(net, values)
-    if not sol.solvable:
-        raise DisconnectedSupportError("flow problem unsolvable at C")
-    P = sol.pressures
-
-    shifted = values.copy()
-    scale = epsilon / sqrt(params.nu)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        eid = net.edge_index[(a, b) if a < b else (b, a)]
-        target = params.nu * net.lengths[eid] ** 2
-        dp = P[a] - P[b]
-        if abs(dp * dp - target) > STATIONARITY_RTOL * target:
-            raise NotStationaryError(
-                f"edge ({a}, {b}): (dP)^2 = {dp * dp:.6e} vs nu L^2 = {target:.6e}"
-            )
-        shifted[eid] += scale * (1.0 if dp > 0 else -1.0)
-
-    if np.any(shifted < 0.0):
-        raise ValueError("perturbation leaves the admissible (nonnegative) set")
-    return Conductivities(shifted)

@@ -1,8 +1,18 @@
-"""Shared test helpers: seeded random instances and finite-difference oracles."""
+"""Shared test helpers: fixed and seeded random networks, finite-difference oracles."""
 
 import numpy as np
 
 import netforge as nf
+
+LINEAR = nf.ModelParams(gamma=1.0, nu=1.0)
+
+
+def triangle(sources=(1.0, -1.0, 0.0)):
+    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
+
+
+def single_edge():
+    return nf.new_network(2, [(0, 1)], [1.0, -1.0])
 
 
 def random_connected_network(

@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 
 import netforge as nf
+import oracles
 from conftest import central_difference, random_conductivities, random_connected_network
-
-
-def triangle(sources=(1.0, -1.0, 0.0)):
-    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
-
-
-def single_edge():
-    return nf.new_network(2, [(0, 1)], [1.0, -1.0])
-
-
-LINEAR = nf.ModelParams(gamma=1.0, nu=1.0)
+from conftest import LINEAR, single_edge, triangle
 
 
 # ----------------------------------------------------------------- energy
@@ -135,11 +126,11 @@ def test_convexity_probe_linear_cost():
     for _ in range(20):
         c1 = rng.uniform(0.05, 2.0, 3)
         c2 = rng.uniform(0.05, 2.0, 3)
-        assert nf.convexity_probe(triangle(), c1, c2, LINEAR).ok
+        assert oracles.convexity_probe(triangle(), c1, c2, LINEAR).ok
 
 
 def test_convexity_probe_equal_arguments():
-    probe = nf.convexity_probe(triangle(), [1.0, 0.4, 0.2], [1.0, 0.4, 0.2], LINEAR)
+    probe = oracles.convexity_probe(triangle(), [1.0, 0.4, 0.2], [1.0, 0.4, 0.2], LINEAR)
     assert probe.ok
     assert abs(probe.worst_violation) <= 1e-12
 
@@ -153,7 +144,7 @@ def test_convexity_probe_reports_sublinear_violation():
     t1 = nf.tree_local_minimizer(net, nf.make_spanning_tree(net, [0, 1]), params)
     t2 = nf.tree_local_minimizer(net, nf.make_spanning_tree(net, [1, 2]), params)
     c1, c2 = t1.conductivities.values, t2.conductivities.values
-    probe = nf.convexity_probe(net, c1, c2, params, samples=1)
+    probe = oracles.convexity_probe(net, c1, c2, params, samples=1)
     e1 = nf.energy(net, c1, params).total
     e2 = nf.energy(net, c2, params).total
     emid = nf.energy(net, 0.5 * (c1 + c2), params).total
@@ -187,6 +178,16 @@ def test_kinetic_bound_random_instance():
     values = random_conductivities(rng, net)
     ekin, bound = nf.kinetic_bound_check(net, values)
     assert ekin <= bound + 1e-9
+
+
+def test_kinetic_bound_matches_the_full_spectrum():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        net = random_connected_network(rng, n_max=12)
+        values = random_conductivities(rng, net)
+        fiedler = np.linalg.eigvalsh(nf.laplacian(net, values, use_lengths=True))[1]
+        bound = nf.kinetic_bound_check(net, values)[1]
+        assert bound == pytest.approx(float(net.sources @ net.sources) / fiedler, rel=1e-12)
 
 
 def test_kinetic_bound_requires_nonzero_sources():

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 import netforge as nf
-from conftest import random_conductivities, random_connected_network
-
-
-def triangle(sources=(1.0, -1.0, 0.0)):
-    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
+import oracles
+from conftest import random_conductivities, random_connected_network, triangle
 
 
 def complete4(sources):
@@ -254,17 +251,17 @@ def test_inaccurate_solve_is_rejected(lengths):
 
 def test_continuity_probe_two_scales_agree():
     net = triangle()
-    coarse = nf.kirchhoff_continuity_probe(net, [1.0, 1.0, 1.0], 1e-6)
-    fine = nf.kirchhoff_continuity_probe(net, [1.0, 1.0, 1.0], 1e-7)
+    coarse = oracles.kirchhoff_continuity_probe(net, [1.0, 1.0, 1.0], 1e-6)
+    fine = oracles.kirchhoff_continuity_probe(net, [1.0, 1.0, 1.0], 1e-7)
     assert np.isfinite(coarse) and coarse > 0
     assert abs(coarse - fine) <= 0.1 * max(coarse, fine)
 
 
 def test_continuity_probe_requires_connected_support():
     with pytest.raises(nf.DisconnectedSupportError):
-        nf.kirchhoff_continuity_probe(triangle(), [1.0, 0.0, 0.0], 1e-6)
+        oracles.kirchhoff_continuity_probe(triangle(), [1.0, 0.0, 0.0], 1e-6)
 
 
 def test_continuity_probe_rejects_zero_delta():
     with pytest.raises(ValueError):
-        nf.kirchhoff_continuity_probe(triangle(), [1.0, 1.0, 1.0], 0.0)
+        oracles.kirchhoff_continuity_probe(triangle(), [1.0, 1.0, 1.0], 0.0)

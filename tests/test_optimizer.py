@@ -5,19 +5,8 @@ import numpy as np
 import pytest
 
 import netforge as nf
-from conftest import random_conductivities, random_connected_network
+from conftest import LINEAR, random_conductivities, random_connected_network, single_edge, triangle
 from netforge.spectral import _low_spectrum
-
-
-def triangle(sources=(1.0, -1.0, 0.0)):
-    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
-
-
-def single_edge():
-    return nf.new_network(2, [(0, 1)], [1.0, -1.0])
-
-
-LINEAR = nf.ModelParams(gamma=1.0, nu=1.0)
 
 
 # -------------------------------------------------------- modified energy

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 import netforge as nf
+import oracles
 from netforge.spectral import _low_spectrum, _path_cholesky, _warm_block, _warm_fiedler, fiedler_pair
-from conftest import central_difference, random_conductivities, random_connected_network
-
-
-def triangle(sources=(1.0, -1.0, 0.0)):
-    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
+from conftest import central_difference, random_conductivities, random_connected_network, triangle
 
 
 def dense_laplacian_oracle(net, values):
@@ -401,16 +398,41 @@ def test_subgradient_refused_on_disconnected_support():
         nf.fiedler_subgradient(triangle(), [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("entry", ["modified_energy", "subgradient_step", "fiedler_subgradient"])
+def test_one_vertex_network_has_no_fiedler_value(entry, mu):
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
+    args = {"modified_energy": (params,), "subgradient_step": (params, 0.1), "fiedler_subgradient": ()}
+    with pytest.raises(ValueError, match="need at least two vertices for a Fiedler value"):
+        getattr(nf, entry)(nf.new_network(1, [], [0.0]), [], *args[entry])
+
+
+def test_library_reads_fiedler_pairs_without_the_full_decomposition(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("np.linalg.eigh called"))
+    net, values = nf.seven_node_network(), np.full(21, 0.5)
+    params = nf.ModelParams(gamma=1.0, nu=1.0, mu=1.0)
+    assert nf.fiedler_subgradient(net, values).shape == (21,)
+    assert np.isfinite(nf.kinetic_bound_check(net, values)[1])
+    assert np.isfinite(nf.modified_energy(net, values, params))
+    assert nf.subgradient_step(net, values, params, 0.1).values.shape == (21,)
+    run = nf.optimize(net, params, nf.OptimConfig(iters=50, seed=0, trace_stride=10))
+    assert run.termination == "completed"
+
+
 def test_subgradient_is_global_upper_linearization():
     # concavity: f(C + tD) <= f(C) + t <g, D> exactly, and difference
-    # quotients shrink as t grows
+    # quotients shrink as t grows; on the unit triangle and unit K_5 the
+    # Fiedler value is multiple and g comes from one vector of its eigenspace
     rng = np.random.default_rng(10)
+    cases = []
     for _ in range(10):
         net = random_connected_network(rng, n_min=4, n_max=8)
-        values = random_conductivities(rng, net)
+        cases.append((net, random_conductivities(rng, net), rng.uniform(-1.0, 1.0, net.edge_count)))
+    for net in (triangle(), complete_network(5)):
+        cases.append((net, np.ones(net.edge_count), rng.uniform(-1.0, 1.0, net.edge_count)))
+    for net, values, direction in cases:
         g = nf.fiedler_subgradient(net, values)
         f0 = nf.spectral_decompose(nf.laplacian(net, values)).fiedler
-        direction = rng.uniform(-1.0, 1.0, net.edge_count)
         slopes = []
         for t in (1e-4, 1e-5):
             ft = nf.spectral_decompose(nf.laplacian(net, values + t * direction)).fiedler
@@ -427,11 +449,11 @@ def test_concavity_probe_random_pairs():
     for _ in range(20):
         c1 = rng.uniform(0.05, 2.0, 3)
         c2 = rng.uniform(0.05, 2.0, 3)
-        assert nf.fiedler_concavity_probe(net, c1, c2).ok
+        assert oracles.fiedler_concavity_probe(net, c1, c2).ok
 
 
 def test_concavity_probe_identical_arguments():
-    probe = nf.fiedler_concavity_probe(triangle(), [1.0, 0.5, 0.2], [1.0, 0.5, 0.2])
+    probe = oracles.fiedler_concavity_probe(triangle(), [1.0, 0.5, 0.2], [1.0, 0.5, 0.2])
     assert probe.ok
     assert abs(probe.worst_violation) <= 1e-12
 
@@ -439,7 +461,7 @@ def test_concavity_probe_identical_arguments():
 def test_concavity_probe_against_zero_is_equality():
     # homogeneity: f(alpha C) = alpha f(C), so the segment to zero is flat
     values = np.array([0.8, 0.3, 0.5])
-    probe = nf.fiedler_concavity_probe(triangle(), values, np.zeros(3))
+    probe = oracles.fiedler_concavity_probe(triangle(), values, np.zeros(3))
     assert probe.ok
     assert abs(probe.worst_violation) <= 1e-9
 

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 import netforge as nf
-from conftest import random_connected_network, random_spanning_tree_ids
+import oracles
+from conftest import LINEAR, random_connected_network, random_spanning_tree_ids, triangle
 from netforge.trees import _tree_energy_blocks
-
-
-def triangle(sources=(1.0, -1.0, 0.0)):
-    return nf.new_network(3, [(0, 1), (0, 2), (1, 2)], sources)
 
 
 def square_cycle(lengths=(1.0, 1.0, 1.0, 1.0)):
@@ -22,21 +19,18 @@ def square_cycle(lengths=(1.0, 1.0, 1.0, 1.0)):
     )
 
 
-LINEAR = nf.ModelParams(gamma=1.0, nu=1.0)
-
-
 # ------------------------------------------------------------ tree fluxes
 
 def test_path_fluxes_forced_by_conservation():
     net = nf.new_network(3, [(0, 1), (1, 2)], [1.0, 0.0, -1.0])
     tree = nf.make_spanning_tree(net, [0, 1])
-    assert nf.tree_fluxes(net, tree).tolist() == [1.0, 1.0]
+    assert nf.tree_local_minimizer(net, tree, LINEAR).fluxes.tolist() == [1.0, 1.0]
 
 
 def test_vee_tree_fluxes():
     net = triangle((1.0, -1.0 / 3.0, -2.0 / 3.0))
     tree = nf.make_spanning_tree(net, [0, 1])  # edges (0,1) and (0,2)
-    fluxes = nf.tree_fluxes(net, tree)
+    fluxes = nf.tree_local_minimizer(net, tree, LINEAR).fluxes
     assert fluxes[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert fluxes[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert fluxes[2] == 0.0
@@ -46,7 +40,7 @@ def test_star_fluxes_point_inward():
     net = nf.new_network(4, [(0, 1), (0, 2), (0, 3)], [-3.0, 1.0, 1.0, 1.0])
     tree = nf.make_spanning_tree(net, [0, 1, 2])
     # canonical orientation is center -> leaf, so inbound unit flow is -1
-    assert nf.tree_fluxes(net, tree).tolist() == [-1.0, -1.0, -1.0]
+    assert nf.tree_local_minimizer(net, tree, LINEAR).fluxes.tolist() == [-1.0, -1.0, -1.0]
 
 
 def test_make_spanning_tree_rejects_non_trees():
@@ -68,7 +62,7 @@ def test_tree_fluxes_conserve_exactly():
     for _ in range(20):
         net = random_connected_network(rng, n_max=9)
         tree = nf.make_spanning_tree(net, random_spanning_tree_ids(rng, net))
-        fluxes = nf.tree_fluxes(net, tree)
+        fluxes = nf.tree_local_minimizer(net, tree, LINEAR).fluxes
         n = net.vertex_count
         outflow = np.bincount(net.edge_u, fluxes, n) - np.bincount(net.edge_v, fluxes, n)
         assert np.abs(outflow - net.sources).max() <= 1e-12
@@ -267,8 +261,8 @@ def test_is_loop_free():
 
 
 def test_loop_perturbation_requires_cycle():
-    with pytest.raises(nf.NoCycleError):
-        nf.loop_perturbation(triangle(), [1.0, 0.0, 0.0], LINEAR, 0.01)
+    with pytest.raises(oracles.NoCycleError):
+        oracles.loop_perturbation(triangle(), [1.0, 0.0, 0.0], LINEAR, 0.01)
 
 
 def test_loop_perturbation_preserves_energy():
@@ -278,7 +272,7 @@ def test_loop_perturbation_preserves_energy():
     values = np.full(4, 0.5)
     base = nf.energy(net, values, LINEAR).total
     for eps in (0.05, -0.05, 0.2):
-        shifted = nf.loop_perturbation(net, values, LINEAR, eps)
+        shifted = oracles.loop_perturbation(net, values, LINEAR, eps)
         moved = nf.energy(net, shifted.values, LINEAR).total
         assert abs(moved - base) <= 1e-8 * base
         assert np.abs(shifted.values - values).max() == pytest.approx(abs(eps))
@@ -287,19 +281,19 @@ def test_loop_perturbation_preserves_energy():
 def test_loop_perturbation_rejects_leaving_cone():
     net = square_cycle()
     with pytest.raises(ValueError):
-        nf.loop_perturbation(net, np.full(4, 0.5), LINEAR, 0.6)
+        oracles.loop_perturbation(net, np.full(4, 0.5), LINEAR, 0.6)
 
 
 def test_loop_perturbation_rejects_nonstationary():
     net = square_cycle()
-    with pytest.raises(nf.NotStationaryError):
-        nf.loop_perturbation(net, np.full(4, 0.7), LINEAR, 0.01)
+    with pytest.raises(oracles.NotStationaryError):
+        oracles.loop_perturbation(net, np.full(4, 0.7), LINEAR, 0.01)
 
 
 def test_loop_perturbation_requires_linear_cost():
     net = square_cycle()
     with pytest.raises(ValueError):
-        nf.loop_perturbation(net, np.full(4, 0.5), nf.ModelParams(gamma=0.5, nu=1.0), 0.01)
+        oracles.loop_perturbation(net, np.full(4, 0.5), nf.ModelParams(gamma=0.5, nu=1.0), 0.01)
 
 
 def test_minimizer_segment_on_asymmetric_cycle():

@@ -19,11 +19,11 @@ params = nf.ModelParams(gamma=1.0, nu=1.0)
 config = nf.OptimConfig(iters=30_000, seed=0)
 mu_values = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
-sweep = nf.sweep_mu(net, params, mu_values, config)
-nf.write_sweep_csv(sweep, OUT / "seven_node_summary.csv")
+runs = nf.sweep_mu(net, params, mu_values, config)
+nf.write_sweep_csv(runs, OUT / "seven_node_summary.csv")
 
 print(f"{'mu':>4} {'E':>10} {'E_kin':>9} {'E_met':>9} {'fiedler':>9} {'edges':>6}  loop-free")
-for mu, run in zip(sweep.mu_values, sweep.runs):
+for mu, run in zip(mu_values, runs):
     rec = run.best_record
     loop_free = nf.is_loop_free(net, run.best_C, threshold=1e-6)
     print(

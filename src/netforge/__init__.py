@@ -56,7 +56,6 @@ from .kirchhoff import (
 from .optimizer import (
     OptimConfig,
     OptimRun,
-    SweepResult,
     TraceRecord,
     modified_energy,
     optimize,

@@ -107,14 +107,14 @@ def _cmd_sweep(args) -> int:
     mu_values = [float(x) for x in args.mu_list.split(",") if x.strip() != ""]
     if not mu_values:
         raise ValueError("--mu-list is empty")
-    sweep = sweep_mu(net, params, mu_values, _run_config(args), jobs=args.jobs)
+    runs = sweep_mu(net, params, mu_values, _run_config(args), jobs=args.jobs)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, run in enumerate(sweep.runs):
+    for i, run in enumerate(runs):
         _write_run(net, run, outdir / f"run_{i:02d}_mu_{run.params.mu:g}")
-    io.write_sweep_csv(sweep, outdir / "summary.csv")
-    failed = any(run.termination in _FAILED_TERMINATIONS for run in sweep.runs)
+    io.write_sweep_csv(runs, outdir / "summary.csv")
+    failed = any(run.termination in _FAILED_TERMINATIONS for run in runs)
     return 2 if failed else 0
 
 

@@ -23,13 +23,20 @@ from .graph import (
     edge_values,
     new_network,
 )
-from .optimizer import RECORD_FIELDS, SUMMARY_FIELDS, OptimRun, SweepResult
+from .optimizer import RECORD_FIELDS, OptimRun
 
 TRACE_COLUMNS = (*RECORD_FIELDS, "best")
 
+#: the record fields of a sweep row: all but the iterate index and step size
+SUMMARY_FIELDS = tuple(name for name in RECORD_FIELDS if name not in ("k", "tau"))
+
 SWEEP_COLUMNS = ("mu", *SUMMARY_FIELDS, "termination", "restarts")
 
+#: width and height of the drawings of :func:`render_svg`, in pixels
+SVG_SIZE = 480
+
 _record_values = attrgetter(*RECORD_FIELDS)
+_summary_values = attrgetter(*SUMMARY_FIELDS)
 
 
 # ---------------------------------------------------------------- graphs
@@ -166,8 +173,11 @@ def write_trace_csv(run: OptimRun, path) -> None:
     _write_csv(path, TRACE_COLUMNS, ((*_record_values(rec), int(rec is best)) for rec in run.trace))
 
 
-def write_sweep_csv(sweep: SweepResult, path) -> None:
-    _write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in sweep.summary))
+def write_sweep_csv(runs, path) -> None:
+    """One row per run: its mu, the ``SUMMARY_FIELDS`` of its best record,
+    its termination and restarts."""
+    rows = ((run.params.mu, *_summary_values(run.best_record), run.termination, run.restarts) for run in runs)
+    _write_csv(path, SWEEP_COLUMNS, rows)
 
 
 def run_summary(run: OptimRun) -> dict:
@@ -203,13 +213,8 @@ def _layout(net: Network) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def render_svg(
-    net: Network,
-    C=None,
-    threshold: float = ACTIVE_EDGE_THRESHOLD,
-    size: int = 480,
-) -> str:
-    """Deterministic SVG drawing of the network.
+def render_svg(net: Network, C=None, threshold: float = ACTIVE_EDGE_THRESHOLD) -> str:
+    """Deterministic ``SVG_SIZE`` x ``SVG_SIZE`` SVG drawing of the network.
 
     Edge stroke width is proportional to sqrt(C_e); edges below the active
     threshold are omitted entirely.  With ``C=None`` all edges are drawn
@@ -223,14 +228,14 @@ def render_svg(
     pad = 0.08 * span
 
     def to_px(p):
-        x = (p[0] - lo[0] + pad) / (span + 2 * pad) * size
-        y = (hi[1] - p[1] + pad) / (span + 2 * pad) * size
+        x = (p[0] - lo[0] + pad) / (span + 2 * pad) * SVG_SIZE
+        y = (hi[1] - p[1] + pad) / (span + 2 * pad) * SVG_SIZE
         return x, y
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
 
     if C is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class TraceRecord:
     within the gap tolerance of the Fiedler value.  ``active_edges`` counts
     the edges above :func:`graph.active_cutoff`.  Its fields are the report
     columns: trace rows carry all of them, sweep summary rows all but ``k``
-    and ``tau`` (``SUMMARY_FIELDS``).
+    and ``tau`` (``io.SUMMARY_FIELDS``).
     """
 
     k: int
@@ -112,15 +112,15 @@ class TraceRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
-SUMMARY_FIELDS = tuple(name for name in RECORD_FIELDS if name not in ("k", "tau"))
 
 
 @dataclass
 class OptimRun:
-    """Result of :func:`optimize`: best iterate, its record, the trace, the
-    termination status ('completed', 'restarted_then_completed', 'diverged',
-    or 'gave_up' after more than ``MAX_RESTARTS`` restarts) and the
-    ``params`` and ``config`` the run was made with."""
+    """Result of :func:`optimize`: best iterate, its F (``best_record.F``),
+    its record, the trace, the termination status ('completed',
+    'restarted_then_completed', 'diverged', or 'gave_up' after more than
+    ``MAX_RESTARTS`` restarts) and the ``params`` and ``config`` the run was
+    made with."""
 
     best_C: Conductivities
     best_F: float
@@ -189,16 +189,17 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
     return Conductivities(step)
 
 
-def _record(net: Network, C, k, F, e_kin, e_met, tau, w, fied, mult) -> TraceRecord:
-    """The record of iterate ``k``; the raw Laplacian's low-spectrum window
-    (``w``, ``fied``, ``mult``) is computed here only when the loop had none
-    (mu = 0)."""
+def _record(net: Network, C, k, e_kin, e_met, coef, tau, w=None, fied=None, mult=None) -> TraceRecord:
+    """The record of iterate ``k``, with F = E - ``coef`` * fiedler (E at
+    mu = 0, bit for bit).  The raw Laplacian's low-spectrum window (``w``,
+    ``fied``, ``mult``) is computed here when the loop had none (mu = 0, or a
+    Fiedler pair from the warm solve)."""
     if w is None:
         w, V = _low_spectrum(assemble_laplacian(net, C))
         fied, _, mult = fiedler_pair(w, V)
     return TraceRecord(
         k=k,
-        F=F,
+        F=e_kin + e_met - coef * fied,
         E=e_kin + e_met,
         E_kin=e_kin,
         E_met=e_met,
@@ -231,10 +232,9 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     iterate and every iterate whose warm solve is refused use the
     low-spectrum window of :func:`spectral._low_spectrum` instead, as
     :func:`modified_energy` and :func:`subgradient_step` do; so do the
-    iterates of the ``WARM_BACKOFF`` wait after refusals.  A best iterate
-    found by the warm solve is evaluated again through that window, so
-    ``best_F`` is ``modified_energy(best_C)`` and every record holds the
-    window's values.
+    iterates of the ``WARM_BACKOFF`` wait after refusals.  Records are built
+    from that window only, the best iterate's too, so ``best_F`` is
+    ``modified_energy(best_C)`` even when the warm solve found it.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
     feasible iterate exists to restart from, and when ``dsyevr`` fails.
@@ -273,8 +273,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     trace = []
     termination = "completed"
 
-    k = 0
-    while k <= K:
+    for k in range(K + 1):
         w = vec = fied = mult = pair = None
         record = k % config.trace_stride == 0 or k == K
         if coef != 0.0:
@@ -323,7 +322,6 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             block = None
             support_key = (C > 0.0).tobytes()
             comps = None
-            k += 1
             continue
 
         e_kin = kinetic_energy(P, S)
@@ -333,12 +331,13 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
             F -= coef * fied
 
         tau = tau0 / math.sqrt(step_idx + 1)
+        args = (k, e_kin, e_met, coef, tau, w, fied, mult)
         if F < best_F:
             best_F = F
             best_C = C.copy()
-            best = (k, F, e_kin, e_met, tau, w, fied, mult)
+            best = args
         if record:
-            trace.append(_record(net, C, k, F, e_kin, e_met, tau, w, fied, mult))
+            trace.append(_record(net, C, *args))
 
         if k == K:
             break
@@ -354,19 +353,9 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         if new_key != support_key:
             support_key = new_key
             comps = None
-        k += 1
 
     if termination == "completed" and restarts:
         termination = "restarted_then_completed"
-
-    k_best, _, e_kin, e_met, tau, w, *_ = best
-    if coef != 0.0 and w is None:
-        # the best iterate came from the warm solve: evaluate it again through
-        # the low-spectrum window, so best_F is modified_energy(best_C)
-        w, V = _low_spectrum(assemble_laplacian(net, best_C))
-        fied, _, mult = fiedler_pair(w, V)
-        best_F = e_kin + e_met - coef * fied
-        best = (k_best, best_F, e_kin, e_met, tau, w, fied, mult)
 
     # the best iterate's record is built only when no stride or final record
     # holds it already (at mu = 0 that saves an eigensolve)
@@ -378,7 +367,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
 
     return OptimRun(
         best_C=Conductivities(best_C),
-        best_F=best_F,
+        best_F=best_record.F,
         best_record=best_record,
         trace=trace,
         termination=termination,
@@ -388,36 +377,14 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     )
 
 
-@dataclass
-class SweepResult:
-    """Per-mu optimizer runs and one summary row per mu."""
-
-    mu_values: tuple
-    runs: list
-    summary: list = field(default_factory=list)
-
-
-def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimConfig, jobs: int = 1) -> SweepResult:
-    """One optimizer run per mu value, run ``i`` seeded with ``config.seed +
-    i``.  Runs are independent and may execute in parallel worker processes
-    (``jobs`` > 1).  Each summary row holds the run's mu, the
-    ``SUMMARY_FIELDS`` of its best record, its termination and restarts."""
+def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimConfig, jobs: int = 1) -> list[OptimRun]:
+    """One optimizer run per mu value, in ``mu_values`` order, run ``i``
+    seeded with ``config.seed + i``.  Runs are independent and may execute in
+    parallel worker processes (``jobs`` > 1)."""
     params = [replace(params_base, mu=float(mu)) for mu in mu_values]
     configs = [replace(config, seed=config.seed + i) for i in range(len(params))]
     nets = [net] * len(params)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(optimize, nets, params, configs))
-    else:
-        runs = list(map(optimize, nets, params, configs))
-
-    summary = [
-        {
-            "mu": run.params.mu,
-            **{name: getattr(run.best_record, name) for name in SUMMARY_FIELDS},
-            "termination": run.termination,
-            "restarts": run.restarts,
-        }
-        for run in runs
-    ]
-    return SweepResult(mu_values=tuple(p.mu for p in params), runs=runs, summary=summary)
+            return list(pool.map(optimize, nets, params, configs))
+    return list(map(optimize, nets, params, configs))

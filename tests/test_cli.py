@@ -109,6 +109,13 @@ def test_sweep_outputs(triangle_file, tmp_path):
     assert len(lines) == 3
     assert (out / "run_00_mu_0" / "best_c.json").exists()
     assert (out / "run_01_mu_0.8" / "trace.csv").exists()
+    # each row repeats its run's summary.json (floats in both as their repr)
+    for name, line in zip(["run_00_mu_0", "run_01_mu_0.8"], lines[1:]):
+        row = dict(zip(lines[0].split(","), line.split(",")))
+        summary = json.loads((out / name / "summary.json").read_text())
+        assert row["F"] == repr(summary["best_F"])
+        for key in ("E", "E_kin", "E_met", "fiedler", "multiplicity", "active_edges", "termination", "restarts"):
+            assert row[key] == str(summary[key]), key
 
 
 def test_summary_json_carries_each_runs_params_and_config(triangle_file, tmp_path):

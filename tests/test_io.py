@@ -102,17 +102,22 @@ def test_trace_csv(tmp_path):
 
 
 def test_sweep_csv(tmp_path):
-    sweep = nf.sweep_mu(
+    runs = nf.sweep_mu(
         nf.toy1_network(),
         nf.ModelParams(gamma=1.0, nu=1.0),
         [0.0, 0.8],
         nf.OptimConfig(iters=500, seed=0),
     )
     path = tmp_path / "summary.csv"
-    nf.write_sweep_csv(sweep, path)
+    nf.write_sweep_csv(runs, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("mu,F,E,")
     assert len(lines) == 3
+    for line, run in zip(lines[1:], runs):
+        row, rec = dict(zip(lines[0].split(","), line.split(","))), run.best_record
+        assert (row["mu"], row["F"]) == (repr(run.params.mu), repr(rec.F))
+        assert (row["multiplicity"], row["active_edges"]) == (str(rec.multiplicity), str(rec.active_edges))
+        assert (row["termination"], row["restarts"]) == (run.termination, str(run.restarts))
 
 
 def test_svg_rendering_deterministic():

@@ -333,12 +333,13 @@ _RECORD = nf.optimizer._record
 
 
 def _capture_records(monkeypatch):
-    """Every record optimize builds, with the iterate's C, E_kin and E_met."""
+    """Every record optimize builds, with the iterate's C, E_kin, E_met and the
+    robustness coefficient it was given."""
     records = []
 
-    def captured(net, C, k, F, e_kin, e_met, tau, w, fied, mult):
-        rec = _RECORD(net, C, k, F, e_kin, e_met, tau, w, fied, mult)
-        records.append((C.copy(), e_kin, e_met, rec))
+    def captured(net, C, k, e_kin, e_met, coef, tau, w=None, fied=None, mult=None):
+        rec = _RECORD(net, C, k, e_kin, e_met, coef, tau, w, fied, mult)
+        records.append((C.copy(), e_kin, e_met, coef, rec))
         return rec
 
     monkeypatch.setattr(nf.optimizer, "_record", captured)
@@ -350,9 +351,10 @@ def _assert_cold_report(net, params, run, records):
     assert run.best_F == nf.modified_energy(net, run.best_C, params)
     assert run.best_record.F == run.best_F
     assert sorted((rec for *_, rec in records), key=lambda rec: rec.k) == run.trace
-    for C, e_kin, e_met, rec in records:
-        F = nf.modified_energy(net, C, params)
-        assert rec == _RECORD(net, C, rec.k, F, e_kin, e_met, rec.tau, None, None, None)
+    for C, e_kin, e_met, coef, rec in records:
+        assert coef == nf.robustness_coefficient(net, params)
+        assert rec.F == nf.modified_energy(net, C, params)
+        assert rec == _RECORD(net, C, rec.k, e_kin, e_met, coef, rec.tau)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0])
@@ -400,34 +402,39 @@ def test_a_best_iterate_from_the_warm_solve_is_reevaluated(monkeypatch):
 
 # ------------------------------------------------------------------ sweep
 
-def test_sweep_summary_and_seeds():
+def test_sweep_summary_and_seeds(tmp_path):
     config = nf.OptimConfig(iters=20_000, seed=5, trace_stride=5000)
-    sweep = nf.sweep_mu(triangle(), LINEAR, [0.0, 0.8], config)
-    assert sweep.mu_values == (0.0, 0.8)
-    assert [row["mu"] for row in sweep.summary] == [0.0, 0.8]
-    for row in sweep.summary:
-        for key in ("F", "E", "E_kin", "E_met", "fiedler", "multiplicity", "active_edges"):
-            assert key in row
+    runs = nf.sweep_mu(triangle(), LINEAR, [0.0, 0.8], config)
+    assert [run.params.mu for run in runs] == [0.0, 0.8]
+    nf.write_sweep_csv(runs, tmp_path / "summary.csv")
+    header, *rows = [line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines()]
+    assert header == [
+        "mu", "F", "E", "E_kin", "E_met", "fiedler", "lambda2", "lambda3",
+        "multiplicity", "active_edges", "termination", "restarts",
+    ]
+    assert [row[0] for row in rows] == ["0.0", "0.8"]
     # mu = 0 row reproduces the pure-energy optimum
-    assert sweep.summary[0]["F"] == pytest.approx(2.0, abs=1e-3)
+    assert float(rows[0][1]) == pytest.approx(2.0, abs=1e-3)
     # per-run seeds are derived from the base seed: rerunning matches
     again = nf.sweep_mu(triangle(), LINEAR, [0.0, 0.8], config)
-    assert [r.best_F for r in again.runs] == [r.best_F for r in sweep.runs]
+    assert [r.best_F for r in again] == [r.best_F for r in runs]
 
 
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(tmp_path):
     # each run carries its own mu and seed + index, also through the pool
     net = nf.seven_node_network()
     config = nf.OptimConfig(iters=400, seed=2, trace_stride=50)
     serial = nf.sweep_mu(net, LINEAR, [0.0, 0.4, 1.0], config, jobs=1)
     parallel = nf.sweep_mu(net, LINEAR, [0.0, 0.4, 1.0], config, jobs=2)
-    assert [run.params.mu for run in serial.runs] == [0.0, 0.4, 1.0]
-    assert [run.config for run in serial.runs] == [
+    assert [run.params.mu for run in serial] == [0.0, 0.4, 1.0]
+    assert [run.config for run in serial] == [
         nf.OptimConfig(iters=400, seed=seed, trace_stride=50) for seed in (2, 3, 4)
     ]
-    assert parallel.mu_values == serial.mu_values
-    assert parallel.summary == serial.summary
-    for a, b in zip(serial.runs, parallel.runs):
+    assert len(parallel) == len(serial)
+    nf.write_sweep_csv(serial, tmp_path / "serial.csv")
+    nf.write_sweep_csv(parallel, tmp_path / "parallel.csv")
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    for a, b in zip(serial, parallel):
         assert b.best_F == a.best_F
         assert np.array_equal(b.best_C.values, a.best_C.values)
         assert b.trace == a.trace

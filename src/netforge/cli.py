@@ -140,7 +140,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_gen_leaf(args) -> int:
     net = leaf_network(nodes=args.nodes, seed=_seed(args.seed))
-    _emit(json.dumps(io.network_to_dict(net), indent=1) + "\n", args.out)
+    _emit(io.graph_json(net), args.out)
     return 0
 
 

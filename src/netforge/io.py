@@ -111,8 +111,33 @@ def network_from_dict(doc: dict) -> Network:
     return new_network(n, edges, sources, positions)
 
 
+def _json_list(entries: list) -> str:
+    """A list of pre-formatted entries as ``json.dumps(..., indent=1)``
+    writes it one level down."""
+    return "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+
+
+def graph_json(net: Network) -> str:
+    """The text of ``json.dumps(network_to_dict(net), indent=1) + "\n"``,
+    built without the pure-Python encoder: ``repr`` is the float text
+    ``json`` writes."""
+    sources = net.sources.tolist()
+    if net.positions is None:
+        vertices = [f'  {{\n   "id": {i},\n   "source": {s!r}\n  }}' for i, s in enumerate(sources)]
+    else:
+        vertices = [
+            f'  {{\n   "id": {i},\n   "x": {x!r},\n   "y": {y!r},\n   "source": {s!r}\n  }}'
+            for i, ((x, y), s) in enumerate(zip(net.positions.tolist(), sources))
+        ]
+    edges = [
+        f'  {{\n   "u": {u},\n   "v": {v},\n   "length": {length!r}\n  }}'
+        for u, v, length in zip(net.edge_u.tolist(), net.edge_v.tolist(), net.lengths.tolist())
+    ]
+    return f'{{\n "vertices": {_json_list(vertices)},\n "edges": {_json_list(edges)}\n}}\n'
+
+
 def save_graph(net: Network, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=1) + "\n")
+    Path(path).write_text(graph_json(net))
 
 
 def load_graph(path) -> Network:
@@ -147,8 +172,18 @@ def conductivities_from_dict(net: Network, doc: dict) -> Conductivities:
     return Conductivities(values)
 
 
+def conductivities_json(net: Network, C) -> str:
+    """The text of ``json.dumps(conductivities_to_dict(net, C), indent=1) +
+    "\n"``, built as :func:`graph_json` builds its text."""
+    edges = [
+        f'  {{\n   "u": {u},\n   "v": {v},\n   "c": {c!r}\n  }}'
+        for u, v, c in zip(net.edge_u.tolist(), net.edge_v.tolist(), edge_values(net, C).tolist())
+    ]
+    return f'{{\n "edges": {_json_list(edges)}\n}}\n'
+
+
 def save_conductivities(net: Network, C, path) -> None:
-    Path(path).write_text(json.dumps(conductivities_to_dict(net, C), indent=1) + "\n")
+    Path(path).write_text(conductivities_json(net, C))
 
 
 def load_conductivities(net: Network, path) -> Conductivities:

@@ -141,19 +141,25 @@ def _require_linear_metabolic(params: ModelParams) -> None:
 
 
 def robustness_coefficient(net: Network, params: ModelParams) -> float:
-    """Weight mu * lmin * (|V| - 1) / 2 multiplying the Fiedler number."""
+    """Weight mu * lmin * (|V| - 1) / 2 multiplying the Fiedler number; 0 at
+    mu = 0, also on edgeless networks, whose lmin is infinite."""
+    if params.mu == 0.0:
+        return 0.0
     return params.mu * net.min_length * (net.vertex_count - 1) / 2.0
 
 
 def modified_energy(net: Network, C, params: ModelParams) -> float:
     """The robustness-augmented objective F[C]; +inf when the flow problem is
-    unsolvable.  The Fiedler term uses the raw conductivities (not C / L)."""
+    unsolvable, the energy at mu = 0.  The Fiedler term uses the raw
+    conductivities (not C / L)."""
     _require_linear_metabolic(params)
     breakdown = energy(net, C, params)
     if not math.isfinite(breakdown.total):
         return math.inf
-    fied = float(_low_spectrum(laplacian(net, C))[0][1])
-    return breakdown.total - robustness_coefficient(net, params) * fied
+    coef = robustness_coefficient(net, params)
+    if coef == 0.0:
+        return breakdown.total
+    return breakdown.total - coef * float(_low_spectrum(laplacian(net, C))[0][1])
 
 
 def _projected_step(net: Network, C, P, vec, tau, inv_L, nu_L, coef) -> np.ndarray:

@@ -34,6 +34,17 @@ TREE_LIMIT = 10**6
 #: the enumeration's frontier and of the batched float work
 STACK_ENTRIES = 2**13
 
+#: relative distance from the lowest tree score within which trees are
+#: evaluated exactly.  A score and an exact energy each add n - 1
+#: nonnegative terms, every term a few roundings from its exact value, so
+#: (1 + 1/gamma) nu^(1/(gamma+1)) times a tree's score and its energy differ
+#: by about (n + 6) eps relative (for gamma <= 1; the upkeep's power gamma
+#: adds about gamma eps).  The tree of least energy then scores within about
+#: 2 (n + 6) eps of the lowest score, which is below 1e-12 up to n = 2200.
+#: Scores order nearly equal trees by their last bits, which differ from the
+#: energies', so they cannot settle near-ties themselves.
+SCORE_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class SpanningTree:
@@ -69,29 +80,27 @@ def make_spanning_tree(net: Network, edge_ids) -> SpanningTree:
     return SpanningTree(edge_ids)
 
 
-def _tree_count_estimate(net: Network) -> float:
-    """The matrix-tree determinant of the unweighted Laplacian in floating
+def _unit_laplacian(net: Network) -> np.ndarray:
+    """The Laplacian of unit edge weights without its first row and column,
+    whose determinant is the number of spanning trees."""
+    return assemble_laplacian(net, np.ones(net.edge_count))[1:, 1:]
+
+
+def _tree_count_estimate(reduced: np.ndarray) -> float:
+    """The matrix-tree determinant of :func:`_unit_laplacian` in floating
     point; TooManyTreesError when it overflows a float."""
-    if net.vertex_count == 1:
-        return 1.0
-    lap = assemble_laplacian(net, np.ones(net.edge_count))
     with np.errstate(over="ignore"):
-        det = np.linalg.det(lap[1:, 1:])
+        det = np.linalg.det(reduced)
     if not np.isfinite(det):
         raise TooManyTreesError("the spanning-tree count overflows a float")
     return float(det)
 
 
-def spanning_tree_count(net: Network) -> int:
-    """Exact number of spanning trees: the matrix-tree determinant of the
-    unweighted Laplacian by fraction-free (Bareiss) integer elimination, about
-    |V|^3 / 3 big-integer operations.  TooManyTreesError when the determinant
-    overflows a float."""
-    _tree_count_estimate(net)
-    if net.vertex_count == 1:
+def _exact_tree_count(reduced: np.ndarray) -> int:
+    """The determinant of :func:`_unit_laplacian` in integers."""
+    if not reduced.size:
         return 1
-    lap = assemble_laplacian(net, np.ones(net.edge_count))
-    M = np.rint(lap[1:, 1:]).astype(np.int64).astype(object)
+    M = np.rint(reduced).astype(np.int64).astype(object)
     # each pivot is a leading principal minor of a positive semidefinite
     # matrix, so it is positive, or zero only when the whole determinant is
     previous = 1
@@ -103,6 +112,16 @@ def spanning_tree_count(net: Network) -> int:
         M[k + 1 :, k + 1 :] = (rest * pivot - np.outer(M[k + 1 :, k], M[k, k + 1 :])) // previous
         previous = pivot
     return int(M[-1, -1])
+
+
+def spanning_tree_count(net: Network) -> int:
+    """Exact number of spanning trees: the matrix-tree determinant of the
+    unweighted Laplacian by fraction-free (Bareiss) integer elimination, about
+    |V|^3 / 3 big-integer operations.  TooManyTreesError when the determinant
+    overflows a float."""
+    reduced = _unit_laplacian(net)
+    _tree_count_estimate(reduced)
+    return _exact_tree_count(reduced)
 
 
 def _search(net: Network, edge_ids):
@@ -123,9 +142,9 @@ def _search(net: Network, edge_ids):
     return order, via, adj
 
 
-def _spanning_trees(net: Network):
-    """Every spanning tree once, as two (T, |V|-1) arrays in lexicographic
-    order of the trees' ascending edge ids: child rows and those ids.
+def _spanning_trees(net: Network) -> np.ndarray:
+    """Every spanning tree once, as (T, |V|-1) child rows in the order they
+    are generated.
 
     A child row roots the tree at vertex 0; column j holds the edge joining
     vertex j + 1 to its parent.  Rows grow a vertex v at a time in
@@ -134,8 +153,9 @@ def _spanning_trees(net: Network):
     parent chain (0, or a vertex without a parent yet): hanging v from u
     closes a cycle exactly when ``top[u] == v``."""
     # the float determinant spares large counts the exact count's cubic cost
-    estimate = _tree_count_estimate(net)
-    if estimate > 2 * TREE_LIMIT or spanning_tree_count(net) > TREE_LIMIT:
+    reduced = _unit_laplacian(net)
+    estimate = _tree_count_estimate(reduced)
+    if estimate > 2 * TREE_LIMIT or _exact_tree_count(reduced) > TREE_LIMIT:
         raise TooManyTreesError(f"about {estimate:.6g} spanning trees exceed the limit {TREE_LIMIT}")
 
     n = net.vertex_count
@@ -158,8 +178,14 @@ def _spanning_trees(net: Network):
                 pieces.append((moved, grown))
         top, child = (np.concatenate(stack) for stack in zip(*pieces))
         del pieces, tops, rows  # the last frontier's memory
+    return child
+
+
+def _lexicographic(child: np.ndarray):
+    """Child rows sorted into lexicographic order of the trees' ascending
+    edge ids, and those ids: two (T, |V|-1) arrays."""
     ids = np.sort(child, axis=1)
-    order = np.lexsort(ids.T[::-1]) if n > 1 else slice(None)
+    order = np.lexsort(ids.T[::-1]) if ids.shape[1] else slice(None)
     return child[order], ids[order]
 
 
@@ -168,14 +194,14 @@ def enumerate_spanning_trees(net: Network):
     lexicographic order of their ascending edge ids.  It refuses to start
     when the matrix-tree count exceeds ``TREE_LIMIT`` (the count grows like
     |V|^(|V|-2) on complete graphs)."""
-    ids = _spanning_trees(net)[1]
+    ids = _lexicographic(_spanning_trees(net))[1]
     for start in range(0, len(ids), STACK_ENTRIES):
         yield from map(SpanningTree, map(tuple, ids[start : start + STACK_ENTRIES].tolist()))
 
 
-def _tree_states(net: Network, child: np.ndarray, ids: np.ndarray, params: ModelParams):
-    """(T, |E|) fluxes, the conductivities on ``ids`` and the (T,) energies
-    (summed over ``ids`` in order) of trees given as in :func:`_spanning_trees`.
+def _subtree_sums(net: Network, child: np.ndarray):
+    """The (T, |V|-1) parents of the vertices 1.. of trees given as child
+    rows, and the (T, |V|) sums of the sources in each vertex's subtree.
 
     A vertex sends its subtree's source to its parent, sum_k P^k S with P
     moving each value to the parent and the root keeping its own.  Depths
@@ -183,16 +209,26 @@ def _tree_states(net: Network, child: np.ndarray, ids: np.ndarray, params: Model
     P^(2^j)) S: one ``np.bincount`` along the 2^j-th ancestors per factor.
     Each row is summed alone in a fixed order, whatever stack it is in."""
     count, n = child.shape[0], child.shape[1] + 1
-    kids, rows = np.arange(1, n), np.arange(count)[:, None]
-    parent = (net.edge_u + net.edge_v)[child] - kids
+    rows = np.arange(count)[:, None]
+    parent = (net.edge_u + net.edge_v)[child] - np.arange(1, n)
     up = np.hstack([rows * n, parent + rows * n]).ravel()
     sums = np.tile(net.sources, count)
     for _ in range((n - 1).bit_length()):
         sums += np.bincount(up, sums, count * n)
         up = up[up]
+    return parent, sums.reshape(count, n)
+
+
+def _tree_states(net: Network, child: np.ndarray, ids: np.ndarray, params: ModelParams):
+    """(T, |E|) fluxes, the conductivities on ``ids`` and the (T,) energies
+    (summed over ``ids`` in order) of trees given as child rows and their
+    ascending edge ids."""
+    count, n = child.shape[0], child.shape[1] + 1
+    rows = np.arange(count)[:, None]
+    parent, sums = _subtree_sums(net, child)
     fluxes = np.zeros((count, net.edge_count))
     # the canonical edge (u, v) runs u -> v
-    fluxes[rows, child] = np.where(parent > kids, 1.0, -1.0) * sums.reshape(count, n)[:, 1:]
+    fluxes[rows, child] = np.where(parent > np.arange(1, n), 1.0, -1.0) * sums[:, 1:]
     on = fluxes[rows, ids]
     lengths = net.lengths[ids]
     values = (on**2 / params.nu) ** (1.0 / (params.gamma + 1.0))
@@ -200,15 +236,24 @@ def _tree_states(net: Network, child: np.ndarray, ids: np.ndarray, params: Model
     return fluxes, values, np.vecdot(ratio, lengths) + metabolic_energy(values, lengths, params)
 
 
+def _blocks(net: Network, count: int):
+    """Slices of ``STACK_ENTRIES`` / |V| trees that cover ``count`` trees."""
+    size = max(1, STACK_ENTRIES // net.vertex_count)
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
+def _energy_blocks(net: Network, child: np.ndarray, ids: np.ndarray, params: ModelParams):
+    """Energies of the trees given as child rows and ascending edge ids, in
+    :func:`_blocks`: each block's ids and energies."""
+    for block in _blocks(net, len(child)):
+        yield ids[block], _tree_states(net, child[block], ids[block], params)[2]
+
+
 def _tree_energy_blocks(net: Network, params: ModelParams):
     """Energies of all spanning trees in enumeration order, in blocks of
     ``STACK_ENTRIES`` / |V| trees: (T, |V|-1) ascending edge ids and the (T,)
     energies of those trees' local minimizers."""
-    child, ids = _spanning_trees(net)
-    size = max(1, STACK_ENTRIES // net.vertex_count)
-    for start in range(0, len(child), size):
-        block = slice(start, start + size)
-        yield ids[block], _tree_states(net, child[block], ids[block], params)[2]
+    return _energy_blocks(net, *_lexicographic(_spanning_trees(net)), params)
 
 
 def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) -> TreeSolution:
@@ -227,11 +272,31 @@ def tree_local_minimizer(net: Network, tree: SpanningTree, params: ModelParams) 
     return TreeSolution(tree, fluxes[0], conductivities, float(energies[0]))
 
 
+def _tree_scores(net: Network, child: np.ndarray, params: ModelParams) -> np.ndarray:
+    """sum_e L_e (Q_e^2)^(gamma/(gamma+1)) over each tree's edges, in child
+    order.  A tree's energy is (1 + 1/gamma) nu^(1/(gamma+1)) times it: at
+    C_e = (Q_e^2/nu)^(1/(gamma+1)) the pumping Q_e^2/C_e and the upkeep
+    (nu/gamma) C_e^gamma per unit length are nu^(1/(gamma+1)) and
+    nu^(1/(gamma+1))/gamma times (Q_e^2)^(gamma/(gamma+1))."""
+    flux = _subtree_sums(net, child)[1][:, 1:]
+    return np.vecdot(net.lengths[child], (flux * flux) ** (params.gamma / (params.gamma + 1.0)))
+
+
 def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:
-    """Minimum-energy tree solution over all spanning trees (first enumerated
-    tree wins ties, which makes the result reproducible)."""
+    """Minimum-energy tree solution over all spanning trees; among trees of
+    equal energy the first in enumeration order wins, which makes the result
+    reproducible.
+
+    Every tree is scored by :func:`_tree_scores` in the order the trees are
+    generated.  Only the trees within ``SCORE_MARGIN`` (relative) of the
+    lowest score are ordered and evaluated exactly by :func:`_tree_states`,
+    so the tree, its energy and its conductivities are those of an exact
+    scan over all trees."""
+    child = _spanning_trees(net)
+    scores = np.concatenate([_tree_scores(net, child[block], params) for block in _blocks(net, len(child))])
+    near = child[scores <= scores.min() * (1.0 + SCORE_MARGIN)]
     best_ids, best_energy = None, None
-    for id_rows, energies in _tree_energy_blocks(net, params):
+    for id_rows, energies in _energy_blocks(net, *_lexicographic(near), params):
         i = int(np.argmin(energies))  # first minimum of the block
         if best_ids is None or energies[i] < best_energy:
             best_ids, best_energy = id_rows[i], energies[i]

@@ -24,6 +24,29 @@ def test_graph_json_round_trip_bit_exact(tmp_path):
     assert nf.load_graph(path) == plain
 
 
+WRITER_NETWORKS = {
+    "seven-node": nf.seven_node_network,
+    "leaf-400": lambda: nf.leaf_network(400, 1),
+    "toy1": nf.toy1_network,
+    "edgeless": lambda: nf.new_network(1, [], [0.0]),
+    "tiny-length": lambda: nf.new_network(3, [(0, 1, 1e-300), (1, 2, 2.5)], [-0.0, 1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_NETWORKS)
+def test_writers_match_the_json_encoder(name, tmp_path):
+    net = WRITER_NETWORKS[name]()
+    nf.save_graph(net, tmp_path / "graph.json")
+    expected = json.dumps(nf.io.network_to_dict(net), indent=1) + "\n"
+    assert (tmp_path / "graph.json").read_text() == expected
+    rng = np.random.default_rng(4)
+    m = net.edge_count
+    for C in (np.zeros(m), rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 1e-300, m)):
+        nf.save_conductivities(net, C, tmp_path / "c.json")
+        expected = json.dumps(nf.io.conductivities_to_dict(net, C), indent=1) + "\n"
+        assert (tmp_path / "c.json").read_text() == expected
+
+
 def test_graph_json_length_defaults(tmp_path):
     doc = {
         "vertices": [

@@ -6,7 +6,14 @@ import pytest
 import netforge as nf
 import oracles
 from conftest import LINEAR, random_connected_network, random_spanning_tree_ids, triangle
-from netforge.trees import _tree_energy_blocks
+from netforge.trees import (
+    SCORE_MARGIN,
+    _lexicographic,
+    _spanning_trees,
+    _tree_energy_blocks,
+    _tree_scores,
+    _tree_states,
+)
 
 
 def square_cycle(lengths=(1.0, 1.0, 1.0, 1.0)):
@@ -17,6 +24,30 @@ def square_cycle(lengths=(1.0, 1.0, 1.0, 1.0)):
         [(0, 1, l01), (0, 3, l03), (1, 2, l12), (2, 3, l23)],
         [1.0, -1.0, 1.0, -1.0],
     )
+
+
+def bridged_triangles(count):
+    # unit triangles joined in a chain by unit bridges: 3^count trees
+    edges = []
+    for i in range(count):
+        a = 3 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+        if i:
+            edges.append((a - 1, a))
+    n = 3 * count
+    return nf.new_network(n, edges, [1.0] + [0.0] * (n - 2) + [-1.0])
+
+
+def unit_grid(side):
+    # side x side unit grid with alternating unit sources (one idle vertex
+    # balances an odd count)
+    n = side * side
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(n - side)]
+    sources = [(-1.0) ** v for v in range(n)]
+    if n % 2:
+        sources[-1] = 0.0
+    return nf.new_network(n, edges, sources)
 
 
 # ------------------------------------------------------------ tree fluxes
@@ -186,17 +217,10 @@ def test_tree_count_overflow_rejected():
 
 
 def test_bridged_triangle_chain_enumeration():
-    # ten triangles joined by bridges: 3^10 trees; without the enumerator's
-    # admissible-parent filter (only neighbours that reach vertex 0 without
-    # the vertex) its frontier grows to 16 times the tree count and the
-    # enumeration takes about 5x longer
-    edges = []
-    for i in range(10):
-        a = 3 * i
-        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
-        if i:
-            edges.append((a - 1, a))
-    net = nf.new_network(30, edges, [1.0] + [0.0] * 28 + [-1.0])
+    # without the enumerator's admissible-parent filter (only neighbours that
+    # reach vertex 0 without the vertex) its frontier grows to 16 times the
+    # tree count and the enumeration takes about 5x longer
+    net = bridged_triangles(10)
     assert nf.spanning_tree_count(net) == 3**10
     assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 3**10
 
@@ -230,9 +254,13 @@ def test_global_search_ties_go_to_the_first_enumerated_tree():
 def test_global_search_matches_a_per_tree_scan(gamma):
     # the seven-node graph's 16807 trees span many blocks of the batched
     # evaluation; the reference is a strict-< scan of single-tree solutions
+    # (the square, grid, bridged triangles and the leaf have many trees of
+    # exactly equal energy; on the leaf the lowest tree score at gamma = 0.5
+    # belongs to the second of two such trees)
     params = nf.ModelParams(gamma=gamma, nu=1.0)
     rng = np.random.default_rng(3)
     nets = [nf.seven_node_network()] + [random_connected_network(rng, n_max=7) for _ in range(10)]
+    nets += [square_cycle(), unit_grid(3), bridged_triangles(6), nf.leaf_network(10, 1933120797)]
     for net in nets:
         trees = nf.enumerate_spanning_trees(net)
         scan = [nf.tree_local_minimizer(net, tree, params) for tree in trees]
@@ -247,6 +275,22 @@ def test_global_search_matches_a_per_tree_scan(gamma):
         assert best.tree == expected.tree
         assert best.energy == expected.energy
         assert best.energy == nf.tree_local_minimizer(net, best.tree, params).energy
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("nu", [0.3, 1.0, 3.0])
+def test_tree_scores_agree_with_exact_energies(gamma, nu):
+    # the closed form (1 + 1/gamma) nu^(1/(gamma+1)) sum L (Q^2)^(gamma/(gamma+1))
+    # stays within the (n + 6) eps that SCORE_MARGIN is derived from
+    params = nf.ModelParams(gamma=gamma, nu=nu)
+    eps = np.finfo(float).eps
+    for net in [nf.seven_node_network(), nf.leaf_network(10, 1933120797), nf.leaf_network(10, 5)]:
+        n = net.vertex_count
+        assert 2 * (n + 6) * eps <= SCORE_MARGIN
+        child, ids = _lexicographic(_spanning_trees(net))
+        energies = _tree_states(net, child, ids, params)[2]
+        scores = (1.0 + 1.0 / gamma) * nu ** (1.0 / (gamma + 1.0)) * _tree_scores(net, child, params)
+        assert np.all(np.abs(scores - energies) <= (n + 6) * eps * energies)
 
 
 # ------------------------------------------------------------- loop tools

@@ -7,7 +7,6 @@ from itertools import combinations
 from math import pi, sin
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .graph import Network, new_network
 
@@ -54,6 +53,7 @@ def leaf_network(nodes: int = 40, seed: int = 0) -> Network:
     """
     if nodes < 8:
         raise ValueError("a leaf triangulation needs at least 8 nodes")
+    from scipy.spatial import Delaunay  # loaded with the first leaf, not with netforge
 
     n_boundary = max(8, round(0.45 * nodes))
     n_top = (n_boundary - 2 + 1) // 2

@@ -26,6 +26,20 @@ COMPONENT_BALANCE_RTOL = 1e-10
 #: max|S| plus the size of the fluxes through the row's vertex
 RESIDUAL_RTOL = 1e-8
 
+#: a solve with unknown components grounds one vertex and proves the support
+#: connected when every other squared pivot of its Cholesky factor exceeds
+#: this times the largest diagonal entry of the Laplacian.  A component B
+#: without the ground ends on a pivot equal to min x^T L_B x over the x on B
+#: that are 1 at its last vertex, at most 1^T L_B 1.  That is 0 in exact
+#: arithmetic; stored, it is the rounding of B's diagonal sums (each adds at
+#: most deg terms), and the factorization adds its backward error of the
+#: same order: about |B| deg eps times the largest diagonal entry.  The test
+#: refuses such a B while |B| deg < 1e-10 / eps = 4.5e5, e.g. components of
+#: up to 10^4 vertices of degree up to 40.  A connected support with a pivot
+#: that small (a near-cut conductance) fails the test too and only pays for
+#: its exact components.
+CONNECTED_PIVOT_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FlowSolution:
@@ -53,17 +67,24 @@ def solve_pressures(net: Network, weights, comps, scale) -> np.ndarray:
     Dirichlet row and column with right-hand side 0 (isolated vertices get
     pressure 0), so one ``dpbsv`` banded Cholesky solves all components.
 
+    ``comps`` None means the components are unknown: only the vertex last
+    in band order is grounded, and the result is None unless the factor's
+    pivots prove the support connected (``CONNECTED_PIVOT_RTOL``).  A
+    connected support then gets the bits a single component in ``comps``
+    gives.
+
     Raises IllConditionedError when the grounded operator is not positive
-    definite to working precision or the residual of the ungrounded system
-    in some row i exceeds ``RESIDUAL_RTOL * (scale + sum_j |L_ij| |P_i - P_j|)``:
+    definite to working precision (with ``comps`` given) or the residual of
+    the ungrounded system in some row i exceeds ``RESIDUAL_RTOL * (scale + sum_j |L_ij| |P_i - P_j|)``:
     no relative change of RESIDUAL_RTOL in each edge conductance and in the
     source scale then explains the residual (the solve is not backward stable).
     """
     S = net.sources
     n, b = net.vertex_count, net.bandwidth
-    if len(comps) > 1 and any(abs(S[c].sum()) > COMPONENT_BALANCE_RTOL * scale for c in comps):
+    several = comps is not None and len(comps) > 1
+    if several and any(abs(S[c].sum()) > COMPONENT_BALANCE_RTOL * scale for c in comps):
         return None
-    ranks = [net.band_rank[c] for c in comps] if len(comps) > 1 else None
+    ranks = [net.band_rank[c] for c in comps] if several else None
     band = assemble_band_laplacian(net, weights)
     lap = band.copy(order="F")
     rhs = S[net.band_order]
@@ -75,7 +96,11 @@ def solve_pressures(net: Network, weights, comps, scale) -> np.ndarray:
         flat[g * (b + 1) : (g + 1) * (b + 1)] = 0.0
         flat[g * (b + 1)] = 1.0
         rhs[g] = 0.0
-    _, x, info = dpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    factor, x, info = dpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if comps is None:
+        # the ground is last in band order; a small pivot may end an ungrounded component
+        if info != 0 or factor[0, :-1].min(initial=np.inf) ** 2 <= CONNECTED_PIVOT_RTOL * lap[0].max():
+            return None
     if info != 0:
         raise IllConditionedError("grounded operator is not positive definite to working precision")
     if ranks is None:

@@ -16,7 +16,6 @@ with a reduced tau_0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -142,9 +141,12 @@ def _require_linear_metabolic(params: ModelParams) -> None:
 
 def robustness_coefficient(net: Network, params: ModelParams) -> float:
     """Weight mu * lmin * (|V| - 1) / 2 multiplying the Fiedler number; 0 at
-    mu = 0, also on edgeless networks, whose lmin is infinite."""
+    mu = 0, also on edgeless networks, whose lmin is infinite.  Raises
+    ValueError at mu != 0 below two vertices, which have no Fiedler value."""
     if params.mu == 0.0:
         return 0.0
+    if net.vertex_count < 2:
+        raise ValueError("need at least two vertices for a Fiedler value")
     return params.mu * net.min_length * (net.vertex_count - 1) / 2.0
 
 
@@ -195,6 +197,15 @@ def subgradient_step(net: Network, C, params: ModelParams, tau: float) -> Conduc
     return Conductivities(step)
 
 
+def _pressures(net: Network, weights, comps, scale):
+    """:func:`kirchhoff.solve_pressures`, None also where it raises
+    IllConditionedError."""
+    try:
+        return solve_pressures(net, weights, comps, scale)
+    except IllConditionedError:
+        return None
+
+
 def _record(net: Network, C, k, e_kin, e_met, coef, tau, w=None, fied=None, mult=None) -> TraceRecord:
     """The record of iterate ``k``, with F = E - ``coef`` * fiedler (E at
     mu = 0, bit for bit).  The raw Laplacian's low-spectrum window (``w``,
@@ -241,6 +252,13 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     iterates of the ``WARM_BACKOFF`` wait after refusals.  Records are built
     from that window only, the best iterate's too, so ``best_F`` is
     ``modified_energy(best_C)`` even when the warm solve found it.
+
+    The support's components are computed (:func:`graph.support_components`)
+    only when it changes and nothing proves it connected: the warm solve's
+    inertia certificate or a safely positive second eigenvalue at mu > 0,
+    the pivots of the pressure Cholesky at mu = 0
+    (:func:`kirchhoff.solve_pressures` with unknown components).  Either way
+    the pressures carry the same bits.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
     feasible iterate exists to restart from, and when ``dsyevr`` fails.
@@ -291,25 +309,30 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
                 lap_raw = assemble_laplacian(net, C)
                 w, V = _low_spectrum(lap_raw)
                 fied, vec, mult = fiedler_pair(w, V)
-                if warm and k + 1 >= retry:  # the next iterate may try the warm solve
+                if warm and k < K and k + 1 >= retry:  # the next iterate may try the warm solve
                     block = _warm_block(net, vec, V)
             else:
                 fied, block = pair
                 vec = block[0, net.band_rank]
 
+        weights = C * inv_L
+        P = None
         if comps is None:
             # the warm solve's inertia certificate, or a safely positive second
             # eigenvalue of the raw Laplacian, proves a connected support
-            # without a union-find pass
+            # without a union-find pass; with neither at hand (mu = 0) the
+            # pivots of a one-ground solve can.  Any failure of that solve
+            # only means the components are needed.
             if pair is not None or (w is not None and w[1] > 1e-10 * lap_raw.diagonal().max()):
                 comps = whole
-            else:
+            elif w is None:
+                P = _pressures(net, weights, None, s_scale)
+                if P is not None:
+                    comps = whole
+            if comps is None:
                 comps = support_components(net, C)
-
-        try:
-            P = solve_pressures(net, C * inv_L, comps, s_scale)
-        except IllConditionedError:
-            P = None
+        if P is None:
+            P = _pressures(net, weights, comps, s_scale)
 
         if P is None:
             # left the solvable set (or the solve degraded): shrink the step
@@ -391,6 +414,8 @@ def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimCon
     configs = [replace(config, seed=config.seed + i) for i in range(len(params))]
     nets = [net] * len(params)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(optimize, nets, params, configs))
     return list(map(optimize, nets, params, configs))

@@ -213,9 +213,10 @@ def _subtree_sums(net: Network, child: np.ndarray):
     parent = (net.edge_u + net.edge_v)[child] - np.arange(1, n)
     up = np.hstack([rows * n, parent + rows * n]).ravel()
     sums = np.tile(net.sources, count)
-    for _ in range((n - 1).bit_length()):
+    for j in range((n - 1).bit_length()):
+        if j:
+            up = up[up]
         sums += np.bincount(up, sums, count * n)
-        up = up[up]
     return parent, sums.reshape(count, n)
 
 

@@ -15,6 +15,13 @@ def single_edge():
     return nf.new_network(2, [(0, 1)], [1.0, -1.0])
 
 
+def pendant():
+    """Five vertices, unit source at 0 and sink at 2; the support disconnects
+    while the optimizer runs on it at mu = 0 and mu = 0.5."""
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 0.5), (3, 4, 0.7), (0, 3, 2.0)]
+    return nf.new_network(5, edges, [1.0, 0.0, -1.0, 0.0, 0.0])
+
+
 def random_connected_network(
     rng,
     n_min=3,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,3 +58,25 @@ def test_leaf_network_is_planar_triangulation_sized():
 def test_leaf_network_rejects_tiny_node_counts():
     with pytest.raises(ValueError):
         nf.leaf_network(nodes=5)
+
+
+IMPORT_PROBE = """
+import sys
+import scipy.linalg, scipy.sparse.csgraph
+before = set(sys.modules)
+import netforge as nf
+loaded = {"scipy.spatial", "concurrent.futures.process"} & (set(sys.modules) - before)
+assert not loaded, loaded
+assert nf.load_graph(sys.argv[1]) == nf.leaf_network(40, 0)
+"""
+
+
+def test_import_leaves_delaunay_and_process_pool_unloaded():
+    # scipy.linalg and scipy.sparse.csgraph load first, so only what netforge
+    # itself adds counts; demo 04 writes leaf_mesh.json from leaf_network(40, 0)
+    mesh = Path(__file__).resolve().parents[1] / "demos" / "output" / "leaf_mesh.json"
+    src = str(Path(nf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-c", IMPORT_PROBE, str(mesh)]
+    done = subprocess.run(args, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -3,7 +3,7 @@ import pytest
 
 import netforge as nf
 import oracles
-from conftest import random_conductivities, random_connected_network, triangle
+from conftest import pendant, random_conductivities, random_connected_network, triangle
 
 
 def complete4(sources):
@@ -265,3 +265,18 @@ def test_continuity_probe_requires_connected_support():
 def test_continuity_probe_rejects_zero_delta():
     with pytest.raises(ValueError):
         oracles.kirchhoff_continuity_probe(triangle(), [1.0, 1.0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize("cut", [((1, 3), (3, 4)), ((1, 2), (1, 3))])
+def test_one_ground_solve_refuses_a_disconnected_support(cut):
+    # cutting (1, 3) and (3, 4) isolates vertex 4; cutting (1, 2) and (1, 3)
+    # isolates vertex 2, the ground, and leaves the rest ungrounded with a
+    # rounding-sized positive last pivot
+    net = pendant()
+    C = np.full(5, 0.1)
+    C[[net.edge_index[pair] for pair in cut]] = 0.0
+    assert len(nf.support_components(net, C)) == 2
+    assert nf.kirchhoff.solve_pressures(net, C / net.lengths, None, 1.0) is None
+    weights = np.full(5, 0.1) / net.lengths
+    P = nf.kirchhoff.solve_pressures(net, weights, None, 1.0)
+    assert P.tobytes() == nf.kirchhoff.solve_pressures(net, weights, [np.arange(5)], 1.0).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import netforge as nf
-from conftest import LINEAR, random_conductivities, random_connected_network, single_edge, triangle
+from conftest import LINEAR, pendant, random_conductivities, random_connected_network, single_edge, triangle
 from netforge.spectral import _low_spectrum
 
 
@@ -465,3 +465,20 @@ def test_convexity_of_modified_energy_midpoints():
         f2 = nf.modified_energy(net, c2, params)
         fm = nf.modified_energy(net, 0.5 * (c1 + c2), params)
         assert fm <= 0.5 * (f1 + f2) + 1e-9
+
+
+def test_mu0_iterates_take_connectivity_from_the_pressure_factor(monkeypatch):
+    calls = []
+    support_components = nf.optimizer.support_components
+
+    def counted(*args):
+        calls.append(args)
+        return support_components(*args)
+
+    monkeypatch.setattr(nf.optimizer, "support_components", counted)
+    run = nf.optimize(nf.leaf_network(40, 0), LINEAR, nf.OptimConfig(iters=200, seed=0))
+    assert run.termination == "completed" and not calls
+    # a support that really disconnects still gets its components
+    run = nf.optimize(pendant(), LINEAR, nf.OptimConfig(iters=3000, seed=0))
+    assert run.termination == "completed" and calls
+    assert all(len(support_components(*args)) > 1 for args in calls)

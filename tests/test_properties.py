@@ -181,6 +181,29 @@ def test_grounded_solve_sums_to_zero_per_component_and_conserves_flow(case):
     assert np.abs(divergence - net.sources).max() <= 1e-9 * np.abs(net.sources).max()
 
 
+def _solve_outcome(net, weights, comps, scale):
+    try:
+        P = nf.kirchhoff.solve_pressures(net, weights, comps, scale)
+    except nf.IllConditionedError:
+        return "raised"
+    return None if P is None else P.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(networks(min_length=0.5, max_length=2.0), st.data())
+def test_one_ground_solve_is_none_or_the_solve_with_the_components(net, data):
+    # with unknown components the solve answers only on a connected support,
+    # and there with the bits of the solve given its single component
+    value = st.sampled_from([0.0, 1e-3, 0.1, 0.7, 2.0])
+    C = np.array(data.draw(st.lists(value, min_size=net.edge_count, max_size=net.edge_count)))
+    weights, scale = C / net.lengths, np.abs(net.sources).max()
+    comps = nf.support_components(net, C)
+    outcome = _solve_outcome(net, weights, None, scale)
+    if outcome is not None:
+        assert len(comps) == 1
+        assert outcome == _solve_outcome(net, weights, comps, scale)
+
+
 @st.composite
 def weighted_graphs(draw):
     """A network of 2-16 vertices (a random tree plus extra edges) and edge

@@ -399,11 +399,18 @@ def test_subgradient_refused_on_disconnected_support():
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.0])
-@pytest.mark.parametrize("entry", ["modified_energy", "subgradient_step", "fiedler_subgradient"])
+@pytest.mark.parametrize(
+    "entry", ["modified_energy", "subgradient_step", "fiedler_subgradient", "robustness_coefficient"]
+)
 def test_one_vertex_network_has_no_fiedler_value(entry, mu):
     net = nf.new_network(1, [], [0.0])
     params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
-    args = {"modified_energy": (params,), "subgradient_step": (params, 0.1), "fiedler_subgradient": ()}
+    args = {
+        "modified_energy": (net, [], params),
+        "subgradient_step": (net, [], params, 0.1),
+        "fiedler_subgradient": (net, []),
+        "robustness_coefficient": (net, params),
+    }
     if entry != "fiedler_subgradient" and mu == 0.0:
         # the mu = 0 objective is the energy alone, which needs no Fiedler value
         assert nf.robustness_coefficient(net, params) == 0.0
@@ -411,7 +418,7 @@ def test_one_vertex_network_has_no_fiedler_value(entry, mu):
         assert nf.subgradient_step(net, [], params, 0.1).values.shape == (0,)
         return
     with pytest.raises(ValueError, match="need at least two vertices for a Fiedler value"):
-        getattr(nf, entry)(net, [], *args[entry])
+        getattr(nf, entry)(*args[entry])
 
 
 def test_library_reads_fiedler_pairs_without_the_full_decomposition(monkeypatch):

@@ -68,16 +68,18 @@ def _object_list(doc, key: str) -> list:
 
 
 def _number(entry: dict, key: str, kind=float):
-    """``kind(entry[key])``, with ValueError for values that are no number
-    and, for ``kind=int``, for floats that are not whole numbers."""
+    """``kind(entry[key])``, with ValueError for values that are no JSON
+    number (strings and booleans included) and, for ``kind=int``, for floats
+    that are not whole numbers."""
     value = entry[key]
-    try:
-        number = kind(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
-    if kind is int and isinstance(value, float) and number != value:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key!r} must be a whole number, got {value!r}")
-    return number
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
 
 
 def network_from_dict(doc: dict) -> Network:

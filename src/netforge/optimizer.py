@@ -410,6 +410,8 @@ def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimCon
     """One optimizer run per mu value, in ``mu_values`` order, run ``i``
     seeded with ``config.seed + i``.  Runs are independent and may execute in
     parallel worker processes (``jobs`` > 1)."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     params = [replace(params_base, mu=float(mu)) for mu in mu_values]
     configs = [replace(config, seed=config.seed + i) for i in range(len(params))]
     nets = [net] * len(params)

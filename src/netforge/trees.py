@@ -30,8 +30,8 @@ from .graph import (
 #: default cap on the estimated number of trees the enumerator will visit
 TREE_LIMIT = 10**6
 
-#: entries of a stack of trees processed at once, which bounds the memory of
-#: the enumeration's frontier and of the batched float work
+#: entries of a stack of trees evaluated at once, which bounds the memory of
+#: the batched float work
 STACK_ENTRIES = 2**13
 
 #: relative distance from the lowest tree score within which trees are
@@ -44,6 +44,14 @@ STACK_ENTRIES = 2**13
 #: Scores order nearly equal trees by their last bits, which differ from the
 #: energies', so they cannot settle near-ties themselves.
 SCORE_MARGIN = 1e-12
+
+#: entries (rows times |V|) of a frontier above which the enumeration splits
+#: it into chunks of ``SPLIT_ENTRIES`` / |V| rows and grows those depth-first.
+#: A chunk grows into at most d times its rows, d the largest degree, and each
+#: of the |V| - 1 levels of the stack holds what is left of one such array:
+#: at most 2 (|V| - 1) d ``SPLIT_ENTRIES`` child and chain-end entries of one
+#: or two bytes each, whatever the tree count
+SPLIT_ENTRIES = 16 * STACK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -142,16 +150,19 @@ def _search(net: Network, edge_ids):
     return order, via, adj
 
 
-def _spanning_trees(net: Network) -> np.ndarray:
-    """Every spanning tree once, as (T, |V|-1) child rows in the order they
-    are generated.
+def _spanning_trees(net: Network):
+    """Every spanning tree once, as blocks of child rows, (rows, |V|-1) arrays.
 
     A child row roots the tree at vertex 0; column j holds the edge joining
-    vertex j + 1 to its parent.  Rows grow a vertex v at a time in
-    breadth-first order, one copy per admissible parent u (a neighbour that
-    reaches vertex 0 without v), and ``top`` holds the end of each vertex's
-    parent chain (0, or a vertex without a parent yet): hanging v from u
-    closes a cycle exactly when ``top[u] == v``."""
+    vertex j + 1 to its parent.  Rows grow a vertex v at a time, one copy per
+    neighbour u, and ``top`` holds the end of each vertex's parent chain (0,
+    or a vertex without a parent yet): hanging v from u closes a cycle
+    exactly when ``top[u] == v``.  Vertices hang farthest from vertex 0 first,
+    in reverse breadth-first order, so a neighbour one step nearer vertex 0
+    has no parent yet and every row grows; a neighbour that reaches vertex 0
+    only through v lies farther out, and its chain already ends at v.  A
+    frontier of more than ``SPLIT_ENTRIES`` / |V| rows is split into chunks
+    of that many rows, which grow depth-first from a stack."""
     # the float determinant spares large counts the exact count's cubic cost
     reduced = _unit_laplacian(net)
     estimate = _tree_count_estimate(reduced)
@@ -160,30 +171,35 @@ def _spanning_trees(net: Network) -> np.ndarray:
 
     n = net.vertex_count
     order, _, adj = _search(net, range(net.edge_count))
+    hang = order[:0:-1]
     top = np.arange(n, dtype=np.min_scalar_type(n))[None]
     child = np.zeros((1, n - 1), dtype=np.min_scalar_type(net.edge_count))
-    step = max(1, STACK_ENTRIES // n)
-    for v in order[1:]:
-        reach = _search(net, [e for e, (a, b, _) in enumerate(net.edges) if v not in (a, b)])[1]
-        parents = [(u, e) for u, e in adj[v] if u == 0 or reach[u] is not None]
-        pieces = []
-        for start in range(0, len(top), step):
-            tops, rows = top[start : start + step], child[start : start + step]
-            for u, e in parents:
-                keep = tops[:, u] != v
-                grown = rows[keep]
-                grown[:, v - 1] = e
-                moved = tops[keep] if v != order[-1] else tops[:0]  # no tops after the last
-                np.copyto(moved, moved[:, u, None], where=moved == v)
-                pieces.append((moved, grown))
-        top, child = (np.concatenate(stack) for stack in zip(*pieces))
-        del pieces, tops, rows  # the last frontier's memory
-    return child
+    chunk = max(1, SPLIT_ENTRIES // n)
+    stack = [(0, top, child)]
+    while stack:
+        k, top, child = stack.pop()
+        if k == len(hang):
+            yield child
+            continue
+        if len(top) > chunk:
+            starts = reversed(range(0, len(top), chunk))
+            stack += [(k, top[s : s + chunk], child[s : s + chunk]) for s in starts]
+            continue
+        v, pieces = hang[k], []
+        for u, e in adj[v]:
+            keep = top[:, u] != v
+            grown = child[keep]
+            grown[:, v - 1] = e
+            moved = top[keep] if k + 1 < len(hang) else top[:0]  # no tops after the last
+            np.copyto(moved, moved[:, u, None], where=moved == v)
+            pieces.append((moved, grown))
+        stack.append((k + 1, *(np.concatenate(arrays) for arrays in zip(*pieces))))
 
 
-def _lexicographic(child: np.ndarray):
-    """Child rows sorted into lexicographic order of the trees' ascending
-    edge ids, and those ids: two (T, |V|-1) arrays."""
+def _lexicographic(blocks):
+    """Blocks of child rows joined and sorted into lexicographic order of the
+    trees' ascending edge ids, and those ids: two (T, |V|-1) arrays."""
+    child = np.concatenate(list(blocks))
     ids = np.sort(child, axis=1)
     order = np.lexsort(ids.T[::-1]) if ids.shape[1] else slice(None)
     return child[order], ids[order]
@@ -279,6 +295,7 @@ def _tree_scores(net: Network, child: np.ndarray, params: ModelParams) -> np.nda
     C_e = (Q_e^2/nu)^(1/(gamma+1)) the pumping Q_e^2/C_e and the upkeep
     (nu/gamma) C_e^gamma per unit length are nu^(1/(gamma+1)) and
     nu^(1/(gamma+1))/gamma times (Q_e^2)^(gamma/(gamma+1))."""
+    child = child.astype(np.intp)  # one cast, not one per gather
     flux = _subtree_sums(net, child)[1][:, 1:]
     return np.vecdot(net.lengths[child], (flux * flux) ** (params.gamma / (params.gamma + 1.0)))
 
@@ -288,16 +305,22 @@ def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:
     equal energy the first in enumeration order wins, which makes the result
     reproducible.
 
-    Every tree is scored by :func:`_tree_scores` in the order the trees are
-    generated.  Only the trees within ``SCORE_MARGIN`` (relative) of the
-    lowest score are ordered and evaluated exactly by :func:`_tree_states`,
-    so the tree, its energy and its conductivities are those of an exact
-    scan over all trees."""
-    child = _spanning_trees(net)
-    scores = np.concatenate([_tree_scores(net, child[block], params) for block in _blocks(net, len(child))])
-    near = child[scores <= scores.min() * (1.0 + SCORE_MARGIN)]
+    Every tree is scored by :func:`_tree_scores` as its block is generated,
+    and only the trees within ``SCORE_MARGIN`` (relative) of the lowest score
+    so far are kept.  Those within it of the lowest score of all are ordered
+    and evaluated exactly by :func:`_tree_states`, so the tree, its energy
+    and its conductivities are those of an exact scan over all trees."""
+    kept, low = [], np.inf
+    for child in _spanning_trees(net):
+        for block in _blocks(net, len(child)):
+            scores = _tree_scores(net, child[block], params)
+            low = min(low, scores.min())
+            near = scores <= low * (1.0 + SCORE_MARGIN)
+            kept.append((child[block][near], scores[near]))
+    child, scores = (np.concatenate(arrays) for arrays in zip(*kept))
+    near = child[scores <= low * (1.0 + SCORE_MARGIN)]
     best_ids, best_energy = None, None
-    for id_rows, energies in _energy_blocks(net, *_lexicographic(near), params):
+    for id_rows, energies in _energy_blocks(net, *_lexicographic([near]), params):
         i = int(np.argmin(energies))  # first minimum of the block
         if best_ids is None or energies[i] < best_energy:
             best_ids, best_energy = id_rows[i], energies[i]

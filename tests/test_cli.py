@@ -276,6 +276,7 @@ def test_validation_error_json(tmp_path, capsys):
         {"vertices": [{"id": 0, "source": 10**400}], "edges": []},
         {"vertices": [{"id": 0, "source": 0}, {"id": 1, "source": 0}], "edges": [{"u": 0.9, "v": 1.7}]},
         {"vertices": [{"id": 0.5, "source": 0}], "edges": []},
+        {"vertices": [{"id": 0, "source": "1"}, {"id": 1, "source": -1}], "edges": [{"u": 0, "v": 1}]},
     ],
 )
 def test_malformed_graph_document_json(tmp_path, capsys, doc):
@@ -301,6 +302,16 @@ def test_malformed_conductivity_document_json(triangle_file, tmp_path, capsys, e
     assert main(["solve", "--graph", str(triangle_file), "--conductivities", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+def test_sweep_rejects_jobs_below_one(triangle_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--graph", str(triangle_file), "--nu", "1", "--mu-list", "0,0.8",
+                 "--iters", "10", "--jobs", "-2", "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "jobs must be at least 1"}
+    assert not out.exists()
 
 
 def test_duplicate_conductivity_entry_json(triangle_file, tmp_path, capsys):

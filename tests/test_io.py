@@ -76,6 +76,39 @@ def test_graph_json_requires_dense_ids(tmp_path):
         nf.load_graph(path)
 
 
+@pytest.mark.parametrize(
+    "vertex, edge",
+    [
+        ({"id": "0"}, {}),
+        ({"id": True}, {}),
+        ({}, {"u": False}),
+        ({}, {"length": "2"}),
+        ({"source": "1"}, {}),
+        ({"x": "0", "y": 0}, {}),
+        ({"id": "1e3"}, {}),
+    ],
+)
+def test_graph_json_rejects_strings_and_booleans_as_numbers(vertex, edge):
+    key = next(iter(vertex or edge))
+    doc = {
+        "vertices": [
+            {"id": 0, "x": 0, "y": 0, "source": 1.0, **vertex},
+            {"id": 1, "x": 1, "y": 0, "source": -1.0},
+        ],
+        "edges": [{"u": 0, "v": 1, **edge}],
+    }
+    with pytest.raises(ValueError, match=f"^'{key}' must be a number, got "):
+        nf.io.network_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [{"c": "1"}, {"c": True}, {"u": "0"}, {"v": True}])
+def test_conductivities_json_rejects_strings_and_booleans_as_numbers(entry):
+    key = next(iter(entry))
+    doc = {"edges": [{"u": 0, "v": 1, "c": 1.0, **entry}]}
+    with pytest.raises(ValueError, match=f"^'{key}' must be a number, got "):
+        nf.io.conductivities_from_dict(nf.toy1_network(), doc)
+
+
 def test_conductivities_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     net = random_connected_network(rng)

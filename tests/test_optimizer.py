@@ -420,6 +420,13 @@ def test_sweep_summary_and_seeds(tmp_path):
     assert [r.best_F for r in again] == [r.best_F for r in runs]
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_rejects_jobs_below_one(jobs):
+    config = nf.OptimConfig(iters=10, seed=0)
+    with pytest.raises(ValueError, match="^jobs must be at least 1$"):
+        nf.sweep_mu(nf.toy1_network(), LINEAR, [0.0, 0.4], config, jobs=jobs)
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     # each run carries its own mu and seed + index, also through the pool
     net = nf.seven_node_network()

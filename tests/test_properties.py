@@ -1,5 +1,7 @@
 """Property tests: invariants checked on generated inputs."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -271,6 +273,15 @@ def test_spanning_tree_enumeration_invariants(net, gamma):
     assert all(a < b for a, b in zip(trees, trees[1:]))
     assert len(trees) == nf.spanning_tree_count(net)
     n = net.vertex_count
+    # the generator's blocks hold every tree once, with the frontier whole
+    # and split into chunks of one or two rows
+    for split in (nf.trees.SPLIT_ENTRIES, 2 * n):
+        with mock.patch.object(nf.trees, "SPLIT_ENTRIES", split):
+            ids = np.sort(np.concatenate(list(nf.trees._spanning_trees(net))), axis=1).tolist()
+        assert len(ids) == len(trees)
+        assert len(set(map(tuple, ids))) == len(ids)
+        for row in ids:
+            nf.make_spanning_tree(net, row)
     params = nf.ModelParams(gamma=gamma, nu=1.0)
     singles = []
     for ids in trees:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,9 +218,11 @@ def test_tree_count_overflow_rejected():
 
 
 def test_bridged_triangle_chain_enumeration():
-    # without the enumerator's admissible-parent filter (only neighbours that
-    # reach vertex 0 without the vertex) its frontier grows to 16 times the
-    # tree count and the enumeration takes about 5x longer
+    # hung nearest-first without pruning the neighbours that reach vertex 0
+    # only through the vertex, the frontier grew to 16 times the tree count
+    # and the enumeration took 5x longer; hung farthest-first, those copies
+    # close a cycle at once, no row is a dead end, and the frontier passes
+    # through 177 143 rows in all, at most 8738 at once
     net = bridged_triangles(10)
     assert nf.spanning_tree_count(net) == 3**10
     assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 3**10
@@ -291,6 +294,37 @@ def test_tree_scores_agree_with_exact_energies(gamma, nu):
         energies = _tree_states(net, child, ids, params)[2]
         scores = (1.0 + 1.0 / gamma) * nu ** (1.0 / (gamma + 1.0)) * _tree_scores(net, child, params)
         assert np.all(np.abs(scores - energies) <= (n + 6) * eps * energies)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_split_frontier_gives_the_same_search(gamma, monkeypatch):
+    # the bench graphs never split their frontier; chunks of a few rows must
+    # give the same tree, energy bits and conductivity bytes
+    params = nf.ModelParams(gamma=gamma, nu=1.0)
+    nets = [nf.seven_node_network(), square_cycle(), unit_grid(3), bridged_triangles(6)]
+    nets += [nf.leaf_network(10, 1933120797), nf.new_network(1, [], [0.0])]
+    nets += [nf.new_network(2, [(0, 1)], [1.0, -1.0])]
+    expected = [nf.global_tree_search(net, params) for net in nets]
+    monkeypatch.setattr(nf.trees, "SPLIT_ENTRIES", 32)
+    for net, want in zip(nets, expected):
+        got = nf.global_tree_search(net, params)
+        assert got.tree == want.tree
+        assert got.energy == want.energy
+        assert got.conductivities.values.tobytes() == want.conductivities.values.tobytes()
+
+
+def test_search_memory_does_not_grow_with_the_tree_count():
+    # 3^11 = 177 147 trees on 33 vertices; holding them all at once traced
+    # 18.5 MB, the split frontier and the kept near-minimal trees about 4 MB
+    net, params = bridged_triangles(11), nf.ModelParams(gamma=0.5, nu=1.0)
+    nf.global_tree_search(bridged_triangles(2), params)
+    tracemalloc.start()
+    try:
+        nf.global_tree_search(net, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ------------------------------------------------------------- loop tools

@@ -11,6 +11,7 @@ exponential) solver.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ SCORE_MARGIN = 1e-12
 #: it into chunks of ``SPLIT_ENTRIES`` / |V| rows and grows those depth-first.
 #: A chunk grows into at most d times its rows, d the largest degree, and each
 #: of the |V| - 1 levels of the stack holds what is left of one such array:
-#: at most 2 (|V| - 1) d ``SPLIT_ENTRIES`` child and chain-end entries of one
-#: or two bytes each, whatever the tree count
+#: at most (|V| - 1) d ``SPLIT_ENTRIES`` child and as many chain-end entries,
+#: of one or two bytes each, and in a pruned search as many masses of eight
+#: bytes, whatever the tree count
 SPLIT_ENTRIES = 16 * STACK_ENTRIES
 
 
@@ -150,7 +152,7 @@ def _search(net: Network, edge_ids):
     return order, via, adj
 
 
-def _spanning_trees(net: Network):
+def _spanning_trees(net: Network, bound=None):
     """Every spanning tree once, as blocks of child rows, (rows, |V|-1) arrays.
 
     A child row roots the tree at vertex 0; column j holds the edge joining
@@ -162,38 +164,86 @@ def _spanning_trees(net: Network):
     has no parent yet and every row grows; a neighbour that reaches vertex 0
     only through v lies farther out, and its chain already ends at v.  A
     frontier of more than ``SPLIT_ENTRIES`` / |V| rows is split into chunks
-    of that many rows, which grow depth-first from a stack."""
-    # the float determinant spares large counts the exact count's cubic cost
+    of that many rows, which grow depth-first from a stack.
+
+    With ``bound`` = (a, threshold), a row is dropped as soon as its lower
+    bound on sum_e L_e (Q_e^2)^a exceeds ``threshold``; the bound of
+    :func:`global_tree_search` holds when every source but vertex 0's has
+    one sign.  Each row then also carries the masses (source sums) of the
+    fragments rooted at vertex 0 and at the vertices without a parent yet,
+    and the sum of L_e (M_v^2)^a over its hung vertices v, M_v the mass of
+    v's fragment when it hung."""
+    # the float determinant spares counts far from the limit the exact
+    # count's cubic cost
     reduced = _unit_laplacian(net)
     estimate = _tree_count_estimate(reduced)
-    if estimate > 2 * TREE_LIMIT or _exact_tree_count(reduced) > TREE_LIMIT:
+    if estimate > 2 * TREE_LIMIT or (
+        estimate > TREE_LIMIT / 2 and _exact_tree_count(reduced) > TREE_LIMIT
+    ):
         raise TooManyTreesError(f"about {estimate:.6g} spanning trees exceed the limit {TREE_LIMIT}")
 
     n = net.vertex_count
     order, _, adj = _search(net, range(net.edge_count))
     hang = order[:0:-1]
     top = np.arange(n, dtype=np.min_scalar_type(n))[None]
-    child = np.zeros((1, n - 1), dtype=np.min_scalar_type(net.edge_count))
+    rows = [top, np.zeros((1, n - 1), dtype=np.min_scalar_type(net.edge_count))]
+    if bound is not None:
+        exponent, threshold = bound
+        # at level k, mass column j belongs to hang[k + j] and the last one to
+        # vertex 0, whose fragment needs no edge: its shortest edge counts 0
+        columns = hang + [0]
+        slot = np.empty(n, dtype=np.intp)
+        slot[columns] = np.arange(n)
+        shortest = np.full(n, np.inf)
+        np.minimum.at(shortest, net.edge_u, net.lengths)
+        np.minimum.at(shortest, net.edge_v, net.lengths)
+        shortest[0] = 0.0
+        shortest = shortest[columns]
+        rows += [net.sources[columns][None], np.zeros(1)]
     chunk = max(1, SPLIT_ENTRIES // n)
-    stack = [(0, top, child)]
+    stack = [(0, rows)]
     while stack:
-        k, top, child = stack.pop()
+        k, rows = stack.pop()
         if k == len(hang):
-            yield child
+            yield rows[1]
             continue
-        if len(top) > chunk:
-            starts = reversed(range(0, len(top), chunk))
-            stack += [(k, top[s : s + chunk], child[s : s + chunk]) for s in starts]
+        if len(rows[0]) > chunk:
+            starts = reversed(range(0, len(rows[0]), chunk))
+            stack += [(k, [array[s : s + chunk] for array in rows]) for s in starts]
             continue
-        v, pieces = hang[k], []
-        for u, e in adj[v]:
-            keep = top[:, u] != v
-            grown = child[keep]
-            grown[:, v - 1] = e
-            moved = top[keep] if k + 1 < len(hang) else top[:0]  # no tops after the last
-            np.copyto(moved, moved[:, u, None], where=moved == v)
-            pieces.append((moved, grown))
-        stack.append((k + 1, *(np.concatenate(arrays) for arrays in zip(*pieces))))
+        top, child = rows[:2]
+        v = hang[k]
+        if bound is not None:
+            mass, hung = rows[2:]
+            term = (mass * mass) ** exponent
+            # column j of joins: the bound once v's fragment joins column j's,
+            # less v's own edge term; v's own column closes a cycle, and
+            # vertex 0's fragment adds no term
+            base = hung + term[:, 1:] @ shortest[k + 1 :]
+            gain = ((mass[:, 1:-1] + mass[:, :1]) ** 2) ** exponent - term[:, 1:-1]
+            joins = [np.full(len(top), np.inf), base[:, None] + shortest[k + 1 : -1] * gain, base]
+            joins = np.column_stack(joins).ravel()
+            offsets = np.arange(0, len(joins), mass.shape[1]) - k
+        nbrs, edges = (np.array(pairs, dtype=np.intp) for pairs in zip(*adj[v]))
+        ends = top[:, nbrs]
+        if bound is None:
+            keep = ends != v
+        else:
+            steps = term[:, :1] * net.lengths[edges]
+            keep = joins[offsets[:, None] + slot[ends]] + steps <= threshold
+        # rows of the first neighbour's copies first, then the next's
+        out, row = np.nonzero(keep.T)
+        ends = ends[row, out]
+        grown = child[row]
+        grown[:, v - 1] = edges[out]
+        moved = top[row] if k + 1 < len(hang) else top[:0]  # no tops after the last
+        np.copyto(moved, ends[:len(moved), None], where=moved == v)
+        rows = [moved, grown]
+        if bound is not None:
+            merged = mass[row, 1:]
+            merged[np.arange(len(row)), slot[ends] - k - 1] += mass[row, 0]
+            rows += [merged, hung[row] + steps[row, out]]
+        stack.append((k + 1, rows))
 
 
 def _lexicographic(blocks):
@@ -300,6 +350,22 @@ def _tree_scores(net: Network, child: np.ndarray, params: ModelParams) -> np.nda
     return np.vecdot(net.lengths[child], (flux * flux) ** (params.gamma / (params.gamma + 1.0)))
 
 
+def _shortest_path_tree(net: Network) -> np.ndarray:
+    """The (1, |V|-1) child row of a shortest-path tree from vertex 0, by
+    Dijkstra's algorithm."""
+    adj, lengths = _search(net, range(net.edge_count))[2], net.lengths.tolist()
+    dist, via, heap = [0.0] + [np.inf] * (net.vertex_count - 1), [0] * net.vertex_count, [(0.0, 0)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
+            continue  # x was reached more cheaply since
+        for y, e in adj[x]:
+            if d + lengths[e] < dist[y]:
+                dist[y], via[y] = d + lengths[e], e
+                heapq.heappush(heap, (dist[y], y))
+    return np.array([via[1:]])
+
+
 def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:
     """Minimum-energy tree solution over all spanning trees; among trees of
     equal energy the first in enumeration order wins, which makes the result
@@ -309,14 +375,45 @@ def global_tree_search(net: Network, params: ModelParams) -> TreeSolution:
     and only the trees within ``SCORE_MARGIN`` (relative) of the lowest score
     so far are kept.  Those within it of the lowest score of all are ordered
     and evaluated exactly by :func:`_tree_states`, so the tree, its energy
-    and its conductivities are those of an exact scan over all trees."""
+    and its conductivities are those of an exact scan over all trees.  A
+    zero score means zero flux on every edge (barring underflow) and an
+    energy of exactly 0, so of those trees only the lexicographically first
+    is kept.
+
+    When every source but vertex 0's has one sign (zeros allowed), a
+    subtree's flux only grows in magnitude as vertices hang below it, and
+    the search is a branch and bound.  With a = gamma / (gamma + 1), a
+    partial tree's score is at least the sum of L_e (M_v^2)^a over its hung
+    vertices v, M_v the source sum below v when it hung, plus for each
+    vertex w without a parent yet the length of its shortest edge times
+    (M_w^2)^a, M_w the source sum of the fragment below w.  Partial trees
+    whose bound exceeds the score of a shortest-path tree from vertex 0 by
+    more than 2 ``SCORE_MARGIN`` (relative) are dropped; at gamma = 1 the
+    score is sum_x |S_x| dist_T(x, 0), and that tree is optimal.  Other
+    sources, enumeration and ``netforge trees`` visit every tree."""
+    bound, rest = None, net.sources[1:]
+    if np.all(rest >= 0.0) or np.all(rest <= 0.0):
+        incumbent = _tree_scores(net, _shortest_path_tree(net), params)[0]
+        # a tree within SCORE_MARGIN of the lowest score scores at most
+        # 1 + SCORE_MARGIN times the incumbent, and its partial bounds are at
+        # most its score; a computed bound and a computed score each lie within
+        # about (n + 6) eps of exact, as SCORE_MARGIN's derivation counts, so
+        # its computed bounds stay below 1 + 2 SCORE_MARGIN times the incumbent.
+        # The incumbent scores 0 only when every source is 0, and so does every
+        # bound, so then nothing can be pruned
+        if incumbent > 0.0:
+            bound = (params.gamma / (params.gamma + 1.0), incumbent * (1.0 + 2.0 * SCORE_MARGIN))
     kept, low = [], np.inf
-    for child in _spanning_trees(net):
+    for child in _spanning_trees(net, bound):
         for block in _blocks(net, len(child)):
             scores = _tree_scores(net, child[block], params)
             low = min(low, scores.min())
             near = scores <= low * (1.0 + SCORE_MARGIN)
-            kept.append((child[block][near], scores[near]))
+            rows, scores = child[block][near], scores[near]
+            if low == 0.0 and len(rows) > 1:
+                # copies, which let the block go
+                rows, scores = _lexicographic([rows])[0][:1].copy(), scores[:1].copy()
+            kept.append((rows, scores))
     child, scores = (np.concatenate(arrays) for arrays in zip(*kept))
     near = child[scores <= low * (1.0 + SCORE_MARGIN)]
     best_ids, best_energy = None, None

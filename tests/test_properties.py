@@ -295,3 +295,28 @@ def test_spanning_tree_enumeration_invariants(net, gamma):
     blocks = list(_tree_energy_blocks(net, params))
     assert [tuple(row) for ids, _ in blocks for row in ids.tolist()] == trees
     assert np.array_equal(np.concatenate([energies for _, energies in blocks]), singles)
+
+
+@st.composite
+def searched_networks(draw):
+    """A network of ``networks`` whose sources but vertex 0's have one sign
+    (zeros allowed) in two of three draws, and mixed signs otherwise."""
+    net = draw(networks(min_length=1e-3, max_length=1e3))
+    n, sign = net.vertex_count, draw(st.sampled_from([1, -1, 0]))
+    ints = st.integers(0, 1000) if sign else st.integers(-1000, 1000)
+    rest = [(sign or 1) * k for k in draw(st.lists(ints, min_size=n - 1, max_size=n - 1))]
+    edges = [(int(u), int(v), float(L)) for u, v, L in zip(net.edge_u, net.edge_v, net.lengths)]
+    return nf.new_network(n, edges, [-float(sum(rest))] + [float(k) for k in rest])
+
+
+@PROPERTY_SETTINGS
+@given(searched_networks(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_global_tree_search_matches_the_exhaustive_scan(net, gamma):
+    params = nf.ModelParams(gamma=gamma, nu=1.0)
+    ids, energies = (np.concatenate(arrays) for arrays in zip(*_tree_energy_blocks(net, params)))
+    first = int(np.argmin(energies))  # the first tree of least energy
+    best = nf.global_tree_search(net, params)
+    expected = nf.tree_local_minimizer(net, nf.make_spanning_tree(net, ids[first]), params)
+    assert best.tree.edge_ids == tuple(ids[first].tolist())
+    assert best.energy == energies[first] == expected.energy
+    assert best.conductivities.values.tobytes() == expected.conductivities.values.tobytes()

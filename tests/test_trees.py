@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 import netforge as nf
 import oracles
@@ -49,6 +51,21 @@ def unit_grid(side):
     if n % 2:
         sources[-1] = 0.0
     return nf.new_network(n, edges, sources)
+
+
+#: the tree-search benchmark's 10-node leaves at workload seed 1
+BENCH_LEAF_SEEDS = (798405205, 415021730, 1933120797, 1911094848, 1163803912, 943150665, 699638994)
+
+
+def with_sources(net, sources):
+    edges = [(int(u), int(v), float(L)) for u, v, L in zip(net.edge_u, net.edge_v, net.lengths)]
+    return nf.new_network(net.vertex_count, edges, sources)
+
+
+def single_source_grid(side):
+    # the unit grid with a unit source at vertex 0 and equal sinks elsewhere
+    n = side * side
+    return with_sources(unit_grid(side), [1.0] + [-1.0 / (n - 1)] * (n - 1))
 
 
 # ------------------------------------------------------------ tree fluxes
@@ -185,6 +202,30 @@ def test_enumeration_count_matches_determinant():
         assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == count
 
 
+def test_tree_limit_is_exact_at_the_count(monkeypatch):
+    # K4 has 16 trees: a limit of 16 admits it and 15 refuses it
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    net = nf.new_network(4, edges, [1.0, -1.0, 1.0, -1.0])
+    monkeypatch.setattr(nf.trees, "TREE_LIMIT", 16)
+    assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 16
+    assert nf.global_tree_search(net, LINEAR).energy > 0.0
+    monkeypatch.setattr(nf.trees, "TREE_LIMIT", 15)
+    with pytest.raises(nf.TooManyTreesError):
+        next(iter(nf.enumerate_spanning_trees(net)))
+    with pytest.raises(nf.TooManyTreesError):
+        nf.global_tree_search(net, LINEAR)
+
+
+def test_exact_count_is_skipped_far_below_the_limit(monkeypatch):
+    # the float estimate alone admits counts up to half the limit
+    calls, exact = [], nf.trees._exact_tree_count
+    monkeypatch.setattr(nf.trees, "_exact_tree_count", lambda reduced: calls.append(1) or exact(reduced))
+    net = nf.seven_node_network()
+    assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 7**5 and calls == []
+    monkeypatch.setattr(nf.trees, "TREE_LIMIT", 2 * 7**5 - 1)
+    assert sum(1 for _ in nf.enumerate_spanning_trees(net)) == 7**5 and calls == [1]
+
+
 def test_too_many_trees_rejected():
     n = 9  # 9^7 = 4782969 spanning trees on the complete graph
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -253,31 +294,39 @@ def test_global_search_ties_go_to_the_first_enumerated_tree():
     assert nf.global_tree_search(net, LINEAR).tree.edge_ids == (0, 1, 2)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def one_signed_networks():
+    # every source but vertex 0's has one sign, so the search prunes (the
+    # all-zero graphs excepted)
+    nets = [nf.leaf_network(10, seed) for seed in BENCH_LEAF_SEEDS[:4]] + [nf.leaf_network(10, 5)]
+    nets += [bridged_triangles(6), single_source_grid(3)]
+    nets += [with_sources(bridged_triangles(4), [0.0] * 12), with_sources(square_cycle(), [0.0] * 4)]
+    return nets
+
+
+def assert_same_solution(got, want):
+    assert got.tree == want.tree
+    assert got.energy == want.energy
+    assert got.conductivities.values.tobytes() == want.conductivities.values.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_global_search_matches_a_per_tree_scan(gamma):
     # the seven-node graph's 16807 trees span many blocks of the batched
-    # evaluation; the reference is a strict-< scan of single-tree solutions
-    # (the square, grid, bridged triangles and the leaf have many trees of
-    # exactly equal energy; on the leaf the lowest tree score at gamma = 0.5
-    # belongs to the second of two such trees)
+    # evaluation; the reference is the first of the single-tree solutions of
+    # least energy (the square, grid, bridged triangles and the leaf have
+    # many trees of exactly equal energy; on the leaf the lowest tree score
+    # at gamma = 0.5 belongs to the second of two such trees); the one-signed
+    # networks are searched by branch and bound
     params = nf.ModelParams(gamma=gamma, nu=1.0)
     rng = np.random.default_rng(3)
     nets = [nf.seven_node_network()] + [random_connected_network(rng, n_max=7) for _ in range(10)]
-    nets += [square_cycle(), unit_grid(3), bridged_triangles(6), nf.leaf_network(10, 1933120797)]
+    nets += [square_cycle(), unit_grid(3)] + one_signed_networks()
     for net in nets:
-        trees = nf.enumerate_spanning_trees(net)
-        scan = [nf.tree_local_minimizer(net, tree, params) for tree in trees]
+        scan = [nf.tree_local_minimizer(net, tree, params) for tree in nf.enumerate_spanning_trees(net)]
         # a tree's energy does not depend on the block it is evaluated in
         blocks = np.concatenate([energies for _, energies in _tree_energy_blocks(net, params)])
         assert np.array_equal(blocks, [sol.energy for sol in scan])
-        expected = None
-        for sol in scan:
-            if expected is None or sol.energy < expected.energy:
-                expected = sol
-        best = nf.global_tree_search(net, params)
-        assert best.tree == expected.tree
-        assert best.energy == expected.energy
-        assert best.energy == nf.tree_local_minimizer(net, best.tree, params).energy
+        assert_same_solution(nf.global_tree_search(net, params), min(scan, key=lambda sol: sol.energy))
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -296,21 +345,53 @@ def test_tree_scores_agree_with_exact_energies(gamma, nu):
         assert np.all(np.abs(scores - energies) <= (n + 6) * eps * energies)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_one_signed_search_prunes_and_mixed_signs_visit_every_tree(monkeypatch):
+    emitted, spanning_trees = [], nf.trees._spanning_trees
+
+    def counted(*args):
+        for child in spanning_trees(*args):
+            emitted.append(len(child))
+            yield child
+
+    monkeypatch.setattr(nf.trees, "_spanning_trees", counted)
+    for net, pruned in [(nf.leaf_network(10, BENCH_LEAF_SEEDS[0]), True), (nf.seven_node_network(), False)]:
+        for gamma in (0.5, 1.0):
+            emitted.clear()
+            nf.global_tree_search(net, nf.ModelParams(gamma=gamma, nu=1.0))
+            count = nf.spanning_tree_count(net)
+            assert sum(emitted) < count / 4 if pruned else sum(emitted) == count
+
+
+def shortest_path_tree(net):
+    n = net.vertex_count
+    lengths = csr_array((net.lengths, (net.edge_u, net.edge_v)), shape=(n, n))
+    parent = dijkstra(lengths, directed=False, indices=0, return_predecessors=True)[1]
+    return nf.make_spanning_tree(net, [net.edge_index[min(p, v), max(p, v)] for v, p in enumerate(parent) if v])
+
+
+def test_linear_one_signed_optimum_is_a_shortest_path_tree():
+    # at gamma = 1 a tree's score is sum_x |S_x| dist_T(x, 0), least on a
+    # shortest-path tree from the single source
+    for seed in BENCH_LEAF_SEEDS:
+        net = nf.leaf_network(10, seed)
+        best = nf.global_tree_search(net, LINEAR)
+        shortest = nf.tree_local_minimizer(net, shortest_path_tree(net), LINEAR)
+        assert best.energy <= shortest.energy
+        assert best.energy == pytest.approx(shortest.energy, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_split_frontier_gives_the_same_search(gamma, monkeypatch):
     # the bench graphs never split their frontier; chunks of a few rows must
-    # give the same tree, energy bits and conductivity bytes
+    # give the same tree, energy bits and conductivity bytes, with and
+    # without pruning
     params = nf.ModelParams(gamma=gamma, nu=1.0)
-    nets = [nf.seven_node_network(), square_cycle(), unit_grid(3), bridged_triangles(6)]
-    nets += [nf.leaf_network(10, 1933120797), nf.new_network(1, [], [0.0])]
-    nets += [nf.new_network(2, [(0, 1)], [1.0, -1.0])]
+    nets = [nf.seven_node_network(), square_cycle(), unit_grid(3)] + one_signed_networks()
+    nets += [nf.new_network(1, [], [0.0]), nf.new_network(2, [(0, 1)], [1.0, -1.0])]
     expected = [nf.global_tree_search(net, params) for net in nets]
     monkeypatch.setattr(nf.trees, "SPLIT_ENTRIES", 32)
     for net, want in zip(nets, expected):
-        got = nf.global_tree_search(net, params)
-        assert got.tree == want.tree
-        assert got.energy == want.energy
-        assert got.conductivities.values.tobytes() == want.conductivities.values.tobytes()
+        assert_same_solution(nf.global_tree_search(net, params), want)
 
 
 def test_search_memory_does_not_grow_with_the_tree_count():
@@ -325,6 +406,21 @@ def test_search_memory_does_not_grow_with_the_tree_count():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_search_memory_stays_bounded_when_every_tree_scores_zero():
+    # with no sources every tree scores 0 and has energy 0, and keeping them
+    # all traced 42 MB; only the lexicographically first of them can win
+    net, params = with_sources(bridged_triangles(11), [0.0] * 33), nf.ModelParams(gamma=0.5, nu=1.0)
+    nf.global_tree_search(bridged_triangles(2), params)
+    tracemalloc.start()
+    try:
+        best = nf.global_tree_search(net, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert best.tree == next(iter(nf.enumerate_spanning_trees(net)))
 
 
 # ------------------------------------------------------------- loop tools

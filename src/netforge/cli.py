@@ -3,11 +3,11 @@
 ``optimize`` and ``sweep`` take ``--graph``, ``--gamma`` (default 1),
 ``--nu``, ``--tau0`` (0.1), ``--iters`` (100000), ``--seed`` (0),
 ``--trace-stride`` (1000) and ``--out``; ``optimize`` adds ``--mu`` (0),
-``sweep`` adds ``--mu-list`` and ``--jobs`` (1) and seeds its runs
-consecutively from ``--seed``.  Every run writes ``best_c.json``,
-``trace.csv`` and ``summary.json`` with the keys gamma, nu, mu, tau0, iters,
-seed, best_F, E, E_kin, E_met, fiedler, multiplicity, active_edges,
-best_iteration, termination and restarts.
+``sweep`` adds ``--mu-list`` and seeds its runs consecutively from
+``--seed``.  Every run writes ``best_c.json``, ``trace.csv`` and
+``summary.json`` with the keys gamma, nu, mu, tau0, iters, seed, best_F, E,
+E_kin, E_met, fiedler, multiplicity, active_edges, best_iteration,
+termination and restarts.
 
 Exit codes: 0 on success, 1 on validation or input errors (a machine-readable
 ``{"error": ..., "message": ...}`` JSON line goes to stderr), 2 when an
@@ -107,7 +107,7 @@ def _cmd_sweep(args) -> int:
     mu_values = [float(x) for x in args.mu_list.split(",") if x.strip() != ""]
     if not mu_values:
         raise ValueError("--mu-list is empty")
-    runs = sweep_mu(net, params, mu_values, _run_config(args), jobs=args.jobs)
+    runs = sweep_mu(net, params, mu_values, _run_config(args))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="one optimizer run per mu value")
     add_opt_args(p, with_mu=False)
     p.add_argument("--mu-list", required=True, help='comma-separated, e.g. "0,0.2,0.4"')
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("trees", help="rank all spanning-tree solutions by energy")

@@ -16,6 +16,7 @@ with a reduced tau_0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -76,6 +77,10 @@ class OptimConfig:
     def __post_init__(self):
         if not 0 < self.tau0 < math.inf:
             raise ValueError("tau0 must be positive and finite")
+        for name in ("iters", "seed", "trace_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.seed < 0:
@@ -253,12 +258,11 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     from that window only, the best iterate's too, so ``best_F`` is
     ``modified_energy(best_C)`` even when the warm solve found it.
 
-    The support's components are computed (:func:`graph.support_components`)
-    only when it changes and nothing proves it connected: the warm solve's
-    inertia certificate or a safely positive second eigenvalue at mu > 0,
-    the pivots of the pressure Cholesky at mu = 0
-    (:func:`kirchhoff.solve_pressures` with unknown components).  Either way
-    the pressures carry the same bits.
+    When the support changes, its components are computed
+    (:func:`graph.support_components`) only when the pivots of the pressure
+    Cholesky do not prove it connected (:func:`kirchhoff.solve_pressures`
+    with unknown components).  A connected support costs one solve either
+    way, and its pressures carry the same bits.
 
     Raises IllConditionedError when iterate 0 is already infeasible, so no
     feasible iterate exists to restart from, and when ``dsyevr`` fails.
@@ -306,8 +310,7 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
                 refused = 0 if pair is not None else refused + 1
                 retry = k + 1 + ((1 << refused) >> WARM_BACKOFF)
             if pair is None:
-                lap_raw = assemble_laplacian(net, C)
-                w, V = _low_spectrum(lap_raw)
+                w, V = _low_spectrum(assemble_laplacian(net, C))
                 fied, vec, mult = fiedler_pair(w, V)
                 if warm and k < K and k + 1 >= retry:  # the next iterate may try the warm solve
                     block = _warm_block(net, vec, V)
@@ -318,19 +321,11 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
         weights = C * inv_L
         P = None
         if comps is None:
-            # the warm solve's inertia certificate, or a safely positive second
-            # eigenvalue of the raw Laplacian, proves a connected support
-            # without a union-find pass; with neither at hand (mu = 0) the
-            # pivots of a one-ground solve can.  Any failure of that solve
-            # only means the components are needed.
-            if pair is not None or (w is not None and w[1] > 1e-10 * lap_raw.diagonal().max()):
-                comps = whole
-            elif w is None:
-                P = _pressures(net, weights, None, s_scale)
-                if P is not None:
-                    comps = whole
-            if comps is None:
-                comps = support_components(net, C)
+            # the pivots of a one-ground solve prove a connected support
+            # without a union-find pass; any failure of that solve only means
+            # the components are needed
+            P = _pressures(net, weights, None, s_scale)
+            comps = whole if P is not None else support_components(net, C)
         if P is None:
             P = _pressures(net, weights, comps, s_scale)
 
@@ -406,18 +401,10 @@ def optimize(net: Network, params: ModelParams, config: OptimConfig) -> OptimRun
     )
 
 
-def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimConfig, jobs: int = 1) -> list[OptimRun]:
+def sweep_mu(net: Network, params_base: ModelParams, mu_values, config: OptimConfig) -> list[OptimRun]:
     """One optimizer run per mu value, in ``mu_values`` order, run ``i``
-    seeded with ``config.seed + i``.  Runs are independent and may execute in
-    parallel worker processes (``jobs`` > 1)."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    params = [replace(params_base, mu=float(mu)) for mu in mu_values]
-    configs = [replace(config, seed=config.seed + i) for i in range(len(params))]
-    nets = [net] * len(params)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(optimize, nets, params, configs))
-    return list(map(optimize, nets, params, configs))
+    seeded with ``config.seed + i``."""
+    return [
+        optimize(net, replace(params_base, mu=float(mu)), replace(config, seed=config.seed + i))
+        for i, mu in enumerate(mu_values)
+    ]

@@ -147,6 +147,13 @@ def test_trees_help_has_no_limit_flag(capsys):
     assert "--gamma" in text and "--limit" not in text
 
 
+def test_sweep_help_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    text = capsys.readouterr().out
+    assert "--mu-list" in text and "--jobs" not in text
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -302,16 +309,6 @@ def test_malformed_conductivity_document_json(triangle_file, tmp_path, capsys, e
     assert main(["solve", "--graph", str(triangle_file), "--conductivities", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-
-
-def test_sweep_rejects_jobs_below_one(triangle_file, tmp_path, capsys):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--graph", str(triangle_file), "--nu", "1", "--mu-list", "0,0.8",
-                 "--iters", "10", "--jobs", "-2", "--out", str(out)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": "jobs must be at least 1"}
-    assert not out.exists()
 
 
 def test_duplicate_conductivity_entry_json(triangle_file, tmp_path, capsys):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two benchmark triangles: closed-form optima vs the subgradient optimizer.
+"""Two benchmark triangles: exact optima vs the subgradient optimizer.
 
 Both networks live on the unit triangle.  The first sends one unit of flow
 from vertex 0 to vertex 1 (vertex 2 idle), the second splits it 1/3 : 2/3
@@ -22,7 +22,7 @@ ITERS = 30_000
 
 def run(label, net, oracle_fn):
     print(f"\n=== {label} ===")
-    print(f"{'mu':>5} {'F (optimizer)':>15} {'F (closed form)':>16} {'diff':>9}  best C")
+    print(f"{'mu':>5} {'F (optimizer)':>15} {'F (exact)':>16} {'diff':>9}  best C")
     for mu in (0.0, 0.2, 0.4, 0.6, 0.8):
         params = nf.ModelParams(gamma=1.0, nu=1.0, mu=mu)
         result = nf.optimize(net, params, nf.OptimConfig(iters=ITERS, seed=0))

@@ -9,6 +9,7 @@ structure of the conductivity matrix automatic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -127,6 +128,10 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma", "nu", "mu"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number")
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
         if not 0 < self.nu < math.inf:

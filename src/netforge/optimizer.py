@@ -75,7 +75,8 @@ class OptimConfig:
     trace_stride: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.tau0 < math.inf:
+        tau0 = self.tau0
+        if isinstance(tau0, bool) or not isinstance(tau0, numbers.Real) or not 0 < tau0 < math.inf:
             raise ValueError("tau0 must be positive and finite")
         for name in ("iters", "seed", "trace_stride"):
             value = getattr(self, name)

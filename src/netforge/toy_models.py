@@ -1,4 +1,4 @@
-"""Closed-form optima of two 3-vertex benchmark networks.
+"""Exact optima of two 3-vertex benchmark networks.
 
 Both benchmarks live on the unit triangle: vertices {0, 1, 2}, edges
 (0, 1), (0, 2), (1, 2) of unit length, linear metabolic cost.  Benchmark 1
@@ -7,10 +7,11 @@ benchmark 2 pushes one unit out of vertex 0, a third of it into vertex 1 and
 the rest into vertex 2.
 
 With robustness weight mu the optimum switches branches at mu = nu / 2:
-below, the pure-energy minimizer (a path / a vee, one edge empty) stays
-optimal; above, connectivity pays off and the optimum becomes the symmetric
-configuration whose Fiedler eigenvalue is shared between edges.  These exact
-values anchor the optimizer's acceptance tests.
+below, the (1, 2) edge stays empty (benchmark 1 keeps the bare path, while
+benchmark 2's vee widens with mu and is found by a one-variable root
+bracketed in [1, 2]); above, connectivity pays off and the optimum becomes
+the symmetric configuration whose Fiedler eigenvalue is shared between
+edges.  These values anchor the optimizer's acceptance tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from .graph import Network, new_network
+from .graph import ModelParams, Network, new_network
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,7 @@ class ToyOptimum:
 
     ``conductivities`` follows the canonical edge order (0,1), (0,2), (1,2);
     ``flux`` is the optimal flow on edge (0, 1).  ``regime`` records which
-    side of mu = nu/2 the weights fall on; ``analytic`` is False for the
-    numerically tabulated branch of benchmark 2 (0 < mu <= nu/2), where no
-    closed form is available and a deterministic grid refinement stands in.
+    side of mu = nu/2 the weights fall on.
     """
 
     conductivities: np.ndarray
@@ -39,7 +38,6 @@ class ToyOptimum:
     F_value: float
     E_value: float
     regime: str
-    analytic: bool
 
 
 def toy1_network() -> Network:
@@ -53,9 +51,8 @@ def toy2_network() -> Network:
 
 
 def _check_weights(nu: float, mu: float) -> None:
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    if not 0.0 <= mu < nu:
+    ModelParams(gamma=1.0, nu=nu, mu=mu)
+    if not mu < nu:
         raise ValueError("the augmented objective has no minimizer for mu >= nu")
 
 
@@ -78,7 +75,6 @@ def toy1_optimum(nu: float, mu: float) -> ToyOptimum:
             F_value=value,
             E_value=value,
             regime="below_half",
-            analytic=True,
         )
     c = sqrt(2.0 / (nu - mu)) / 3.0
     e_value = 2.0 / (3.0 * c) + 3.0 * nu * c
@@ -88,63 +84,29 @@ def toy1_optimum(nu: float, mu: float) -> ToyOptimum:
         F_value=e_value - 3.0 * mu * c,  # Fiedler value is 3c there
         E_value=e_value,
         regime="above_half",
-        analytic=True,
     )
-
-
-def _toy2_grid(mu: float):
-    """Deterministic grid-plus-refinement minimizer of the reduced benchmark-2
-    objective at nu = 1 with the (1, 2) edge empty:
-
-        F(a, b) = (1/9)/a + (4/9)/b + (a + b) - mu * lambda1(a, b, 0).
-
-    Grid step 1e-3 with two tenfold refinements around the incumbent.
-    """
-    step = 1e-3
-    lo_a = lo_b = step
-    hi_a = hi_b = 1.6
-    best_a = best_b = best_f = None
-    for _ in range(3):
-        a = np.arange(lo_a, hi_a + 0.5 * step, step)
-        b = np.arange(lo_b, hi_b + 0.5 * step, step)
-        aa = a[:, None]
-        bb = b[None, :]
-        lam1 = (aa + bb) - np.sqrt(aa * aa + bb * bb - aa * bb)
-        f = (1.0 / 9.0) / aa + (4.0 / 9.0) / bb + (aa + bb) - mu * lam1
-        i, j = np.unravel_index(np.argmin(f), f.shape)
-        best_a, best_b, best_f = float(a[i]), float(b[j]), float(f[i, j])
-        lo_a, hi_a = max(best_a - 2.0 * step, step / 10.0), best_a + 2.0 * step
-        lo_b, hi_b = max(best_b - 2.0 * step, step / 10.0), best_b + 2.0 * step
-        step /= 10.0
-    return best_a, best_b, best_f
 
 
 def toy2_optimum(nu: float, mu: float) -> ToyOptimum:
     """Optimum of benchmark 2 for 0 <= mu < nu.
 
-    mu = 0 and mu > nu/2 are exact: the vee C = (1/3, 2/3, 0) / sqrt(nu)
-    with flux 1/3, and the fully symmetric C = sqrt(14 / (nu - mu)) / 9 with
-    flux 4/9 and a doubly degenerate Fiedler eigenvalue.  In between no
-    closed form is known; the returned value comes from the grid refinement
-    (restricted to the empty (1, 2) edge, where the flux stays exactly 1/3)
-    and is flagged ``analytic=False``.
+    For mu > nu/2 it is the fully symmetric C = sqrt(14 / (nu - mu)) / 9
+    with flux 4/9 and a doubly degenerate Fiedler eigenvalue.  For
+    mu <= nu/2 the (1, 2) edge stays empty, the flux is 1/3, and with
+    m = mu/nu the scaled conductivities (a, b) = sqrt(nu) (C0, C1) minimize
 
-    A uniform rescaling C -> C/sqrt(nu) maps the problem at (nu, mu) onto
-    (1, mu/nu) with objective values scaled by sqrt(nu), which is how the
-    tabulated branch handles general nu.
+        h(t)/r + r g(t),  (a, b) = r (1, t),
+        h = 1/9 + 4/(9t),  g = (1 - m)(1 + t) + m sqrt(t^2 - t + 1),
+
+    the nu = 1 objective with Fiedler value a + b - sqrt(a^2 - ab + b^2).
+    The best r is sqrt(h/g), so F = 2 sqrt(h g) along the rays, and
+    (h g)' = 0 where 2(1 - m)(t^2 - 4) sqrt(t^2 - t + 1) + m(2t^3 - t^2 +
+    4t - 8) = 0.  That left side is negative at t = 1 and nonnegative at
+    t = 2, and F is convex, so bisection on its sign finds the one root;
+    m = 0 gives the vee (1/3, 2/3, 0) and m = 1/2 meets the symmetric
+    branch's F.  Objective values scale by sqrt(nu).
     """
     _check_weights(nu, mu)
-    root = sqrt(nu)
-    if mu == 0.0:
-        value = 2.0 * root
-        return ToyOptimum(
-            conductivities=np.array([1.0 / 3.0, 2.0 / 3.0, 0.0]) / root,
-            flux=1.0 / 3.0,
-            F_value=value,
-            E_value=value,
-            regime="below_half",
-            analytic=True,
-        )
     if mu > nu / 2.0:
         c = sqrt(14.0 / (nu - mu)) / 9.0
         f_value = 2.0 / 3.0 * sqrt(14.0 * (nu - mu))
@@ -154,16 +116,27 @@ def toy2_optimum(nu: float, mu: float) -> ToyOptimum:
             F_value=f_value,
             E_value=f_value + 3.0 * mu * c,  # Fiedler value 3c, double
             regime="above_half",
-            analytic=True,
         )
-    a, b, f_reduced = _toy2_grid(mu / nu)
+    m = mu / nu
+    lo, hi = 1.0, 2.0
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        s = sqrt(t * t - t + 1.0)
+        if 2.0 * (1.0 - m) * (t * t - 4.0) * s + m * (2.0 * t**3 - t * t + 4.0 * t - 8.0) < 0.0:
+            lo = t
+        else:
+            hi = t
+    h = 1.0 / 9.0 + 4.0 / (9.0 * hi)
+    g = (1.0 - m) * (1.0 + hi) + m * sqrt(hi * hi - hi + 1.0)
+    a = sqrt(h / g)
+    b = a * hi
+    f_reduced = 2.0 * sqrt(h * g)
     lam1 = (a + b) - sqrt(a * a + b * b - a * b)
-    e_reduced = f_reduced + (mu / nu) * lam1
+    root = sqrt(nu)
     return ToyOptimum(
         conductivities=np.array([a, b, 0.0]) / root,
         flux=1.0 / 3.0,
         F_value=root * f_reduced,
-        E_value=root * e_reduced,
+        E_value=root * (f_reduced + m * lam1),
         regime="below_half",
-        analytic=False,
     )

@@ -65,7 +65,7 @@ import sys
 import scipy.linalg, scipy.sparse.csgraph
 before = set(sys.modules)
 import netforge as nf
-loaded = {"scipy.spatial", "concurrent.futures.process"} & (set(sys.modules) - before)
+loaded = {"scipy.spatial", "scipy.optimize", "concurrent.futures.process"} & (set(sys.modules) - before)
 assert not loaded, loaded
 assert nf.load_graph(sys.argv[1]) == nf.leaf_network(40, 0)
 """

@@ -460,6 +460,25 @@ def test_optim_config_rejects_noninteger_counts(field, value):
         nf.OptimConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "factory, kwargs",
+    [(nf.OptimConfig, {"tau0": "0.1"}), (nf.OptimConfig, {"tau0": None}),
+     (nf.OptimConfig, {"tau0": True}), (nf.ModelParams, {"gamma": 1.0, "nu": 1.0, "mu": "1"}),
+     (nf.ModelParams, {"gamma": 1.0, "nu": None}), (nf.ModelParams, {"gamma": True, "nu": 1.0}),
+     (nf.ModelParams, {"gamma": 1.0, "nu": 1.0, "mu": False}),
+     (nf.ModelParams, {"gamma": 1.0, "nu": 1.0, "mu": 0.5j})],
+)
+def test_real_parameters_reject_bools_and_nonreals(factory, kwargs):
+    with pytest.raises(ValueError):
+        factory(**kwargs)
+
+
+def test_real_parameters_accept_numpy_floats():
+    assert nf.OptimConfig(tau0=np.float32(0.5)).tau0 == 0.5
+    params = nf.ModelParams(gamma=np.float64(1.0), nu=np.float32(2.0), mu=np.float64(0.5))
+    assert (params.gamma, params.nu, params.mu) == (1.0, 2.0, 0.5)
+
+
 def test_optim_config_accepts_numpy_integers():
     config = nf.OptimConfig(iters=np.int64(20), seed=np.uint32(3), trace_stride=np.int32(5))
     run = nf.optimize(triangle(), LINEAR, config)

@@ -5,7 +5,7 @@ import pytest
 
 import netforge as nf
 
-# Frozen oracle values for the tabulated branch of benchmark 2 at nu = 1,
+# Frozen oracle values for the middle branch of benchmark 2 at nu = 1,
 # computed with an independent Nelder-Mead minimization of the full
 # three-variable objective from four starting points (xatol 1e-12):
 #   mu    F*                C*
@@ -44,6 +44,13 @@ def test_toy1_rejects_mu_at_or_above_nu():
         nf.toy1_optimum(1.0, -0.2)
 
 
+@pytest.mark.parametrize("factory", [nf.toy1_optimum, nf.toy2_optimum])
+@pytest.mark.parametrize("nu, mu", [(math.inf, 0.0), (math.inf, 0.2), ("1", 0.0), (1.0, None), (True, 0.0)])
+def test_toy_optima_reject_invalid_weights(factory, nu, mu):
+    with pytest.raises(ValueError):
+        factory(nu, mu)
+
+
 def test_toy1_value_continuous_at_regime_boundary():
     below = nf.toy1_optimum(1.0, 0.5 - 1e-9)
     above = nf.toy1_optimum(1.0, 0.5 + 1e-9)
@@ -76,7 +83,6 @@ def test_toy2_zero_mu():
     assert np.allclose(opt.conductivities, [1 / 3, 2 / 3, 0.0])
     assert opt.flux == pytest.approx(1.0 / 3.0)
     assert opt.E_value == pytest.approx(2.0)
-    assert opt.analytic
     # Fiedler value of the optimal vee: 1 - sqrt(1/3) ~ 0.423
     fied = nf.spectral_decompose(nf.laplacian(nf.toy2_network(), opt.conductivities)).fiedler
     assert fied == pytest.approx(1.0 - math.sqrt(1.0 / 3.0), abs=1e-12)
@@ -87,7 +93,6 @@ def test_toy2_above_half():
     c = math.sqrt(140.0) / 9.0  # ~ 1.3147
     assert np.allclose(opt.conductivities, [c, c, c], atol=1e-12)
     assert opt.flux == pytest.approx(4.0 / 9.0)
-    assert opt.analytic
 
 
 def test_toy2_flux_from_flow_solver():
@@ -100,12 +105,32 @@ def test_toy2_flux_from_flow_solver():
 def test_toy2_middle_regime_matches_independent_minimizer():
     for mu, (f_star, c_star) in NELDER_MEAD_ORACLE.items():
         opt = nf.toy2_optimum(1.0, mu)
-        assert not opt.analytic
         assert opt.regime == "below_half"
-        assert opt.F_value == pytest.approx(f_star, abs=1e-9)
-        assert np.allclose(opt.conductivities, c_star, atol=1e-4)
+        assert opt.F_value == pytest.approx(f_star, abs=1e-12)
+        assert np.allclose(opt.conductivities, c_star, rtol=0.0, atol=1e-6)
         assert opt.conductivities[2] == 0.0
         assert opt.flux == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0])
+def test_toy2_middle_branch_at_half_is_exact(nu):
+    opt = nf.toy2_optimum(nu, nu / 2.0)
+    s7, root = math.sqrt(7.0), math.sqrt(nu)
+    expected = np.array([s7 / 6.0, 4.0 * s7 / 15.0, 0.0]) / root
+    assert opt.regime == "below_half"
+    assert np.allclose(opt.conductivities, expected, rtol=1e-15, atol=0.0)
+    assert opt.F_value == pytest.approx(2.0 / 3.0 * s7 * root, rel=1e-15, abs=0.0)
+
+
+def test_toy2_middle_branch_is_stationary():
+    # gradient of the nu = 1 objective over (C0, C1) with the (1, 2) edge empty
+    for mu in np.linspace(0.0, 0.5, 201)[1:]:
+        a, b, c2 = nf.toy2_optimum(1.0, mu).conductivities
+        s = math.sqrt(a * a + b * b - a * b)
+        grad_a = -1.0 / (9.0 * a * a) + (1.0 - mu) + mu * (2.0 * a - b) / (2.0 * s)
+        grad_b = -4.0 / (9.0 * b * b) + (1.0 - mu) + mu * (2.0 * b - a) / (2.0 * s)
+        assert c2 == 0.0
+        assert max(abs(grad_a), abs(grad_b)) <= 1e-12
 
 
 def test_toy2_fiedler_grows_through_middle_regime():
@@ -119,7 +144,7 @@ def test_toy2_fiedler_grows_through_middle_regime():
 
 
 def test_toy2_value_continuous_at_regime_boundary():
-    below = nf.toy2_optimum(1.0, 0.5)          # tabulated branch
+    below = nf.toy2_optimum(1.0, 0.5)          # reduced branch
     above = nf.toy2_optimum(1.0, 0.5 + 1e-9)   # closed form
     assert below.F_value == pytest.approx(above.F_value, abs=1e-5)
 

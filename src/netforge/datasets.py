@@ -8,7 +8,7 @@ from math import pi, sin
 
 import numpy as np
 
-from .graph import Network, new_network
+from .graph import Network, new_network, require_integer
 
 #: (x, y, source) per vertex of the 7-vertex benchmark.  The printed sources
 #: sum to zero only up to their three decimals; the constructor below spreads
@@ -49,8 +49,11 @@ def leaf_network(nodes: int = 40, seed: int = 0) -> Network:
     on the outline, the rest are sampled inside it with the given seed.  The
     leftmost node (the stem tip at the origin) carries source +1; every other
     node is a uniform sink of -1/(nodes-1), with the source adjusted by the
-    float rounding residual so the balance is exact.
+    float rounding residual so the balance is exact.  Raises ValueError
+    unless ``nodes`` and ``seed`` are integers (bools are not), ``nodes`` is
+    at least 8 and ``seed`` is nonnegative.
     """
+    nodes, seed = require_integer("nodes", nodes), require_integer("seed", seed)
     if nodes < 8:
         raise ValueError("a leaf triangulation needs at least 8 nodes")
     from scipy.spatial import Delaunay  # loaded with the first leaf, not with netforge

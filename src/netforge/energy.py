@@ -46,7 +46,8 @@ def kinetic_energy(P: np.ndarray, S: np.ndarray) -> float:
 def metabolic_energy(values: np.ndarray, lengths: np.ndarray, params: ModelParams):
     """Maintenance cost nu / gamma * sum C^gamma L; for a stack of states
     (one per row of ``values``), an array of the rows' costs."""
-    cost = np.vecdot(values**params.gamma, lengths)
+    # C**1.0 == C bit for bit, so the linear cost skips the power
+    cost = np.vecdot(values if params.gamma == 1.0 else values**params.gamma, lengths)
     return params.nu / params.gamma * (float(cost) if cost.ndim == 0 else cost)
 
 

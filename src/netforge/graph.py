@@ -51,18 +51,25 @@ class Network:
     edge_v: np.ndarray = field(repr=False, default=None)
     lengths: np.ndarray = field(repr=False, default=None)
     # flat (row-major n x n) Laplacian positions of each edge's (u,u), (v,v),
-    # (u,v) and (v,u) entries, edge after edge
+    # (u,v) and (v,u) entries, edge after edge, and each entry's edge id and
+    # sign
     laplacian_index: np.ndarray = field(repr=False, default=None)
+    laplacian_edge: np.ndarray = field(repr=False, default=None)
+    laplacian_sign: np.ndarray = field(repr=False, default=None)
     edge_index: dict = field(repr=False, default=None)
     # reverse Cuthill-McKee order of the vertices (band position -> vertex),
-    # its inverse (vertex -> band position), the half-bandwidth b of the
-    # Laplacian in that order, and the flat positions in the column-major
-    # (b+1) x n lower band storage of each edge's (u,u), (v,v) and
-    # off-diagonal entries, edge after edge
+    # its inverse (vertex -> band position), the sources in that order, the
+    # half-bandwidth b of the Laplacian in that order, and the flat positions
+    # in the column-major (b+1) x n lower band storage of each edge's (u,u),
+    # (v,v) and off-diagonal entries, edge after edge, with each entry's
+    # edge id and sign
     band_order: np.ndarray = field(repr=False, default=None)
     band_rank: np.ndarray = field(repr=False, default=None)
+    band_sources: np.ndarray = field(repr=False, default=None)
     bandwidth: int = field(repr=False, default=0)
     band_index: np.ndarray = field(repr=False, default=None)
+    band_edge: np.ndarray = field(repr=False, default=None)
+    band_sign: np.ndarray = field(repr=False, default=None)
 
     @property
     def edge_count(self) -> int:
@@ -140,6 +147,14 @@ class ModelParams:
             raise ValueError("mu must be nonnegative and finite")
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError for bools and values that are not
+    ``numbers.Integral`` (numpy integers are)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def _union_find(vertex_count: int, pairs: Iterable):
     """Union-find forest of the graph on ``vertex_count`` vertices with the
     given (u, v) edge pairs: its ``find`` and the number of components.  The
@@ -179,7 +194,8 @@ def new_network(
     Parameters
     ----------
     vertex_count : int
-        Number of vertices; vertex ids are 0 .. vertex_count-1.
+        Number of vertices, at least 1 (a bool or a non-integral value
+        raises ValueError); vertex ids are 0 .. vertex_count-1.
     edges : sequence of (u, v) or (u, v, length)
         Undirected edges.  A missing length defaults to 1.0.  Edges are
         canonicalized to u < v and sorted by (u, v).
@@ -194,6 +210,7 @@ def new_network(
     SelfLoopError, DuplicateEdgeError, NonpositiveLengthError, NonFiniteError,
     UnbalancedSourcesError, DisconnectedGraphError
     """
+    vertex_count = require_integer("vertex_count", vertex_count)
     if vertex_count < 1:
         raise ValueError("vertex_count must be positive")
 
@@ -265,10 +282,19 @@ def new_network(
     bandwidth = int(offset.max(initial=0))
     rows = bandwidth + 1
     band_index = np.column_stack([rank_u * rows, rank_v * rows, low * rows + offset]).ravel()
+    band_sources = sources[band_order]
 
-    for arr in (edge_u, edge_v, lengths, laplacian_index, band_order, band_rank, band_index):
+    # the edge id and sign of every scatter entry, in index order
+    edge_ids = np.arange(edge_u.size)
+    laplacian_edge, band_edge = np.repeat(edge_ids, 4), np.repeat(edge_ids, 3)
+    laplacian_sign = np.tile([1.0, 1.0, -1.0, -1.0], edge_u.size)
+    band_sign = np.tile([1.0, 1.0, -1.0], edge_u.size)
+
+    for arr in (
+        sources, edge_u, edge_v, lengths, laplacian_index, laplacian_edge, laplacian_sign,
+        band_order, band_rank, band_sources, band_index, band_edge, band_sign,
+    ):
         arr.flags.writeable = False
-    sources.flags.writeable = False
 
     edge_index = {(u, v): eid for eid, (u, v, _) in enumerate(canonical)}
 
@@ -281,11 +307,16 @@ def new_network(
         edge_v=edge_v,
         lengths=lengths,
         laplacian_index=laplacian_index,
+        laplacian_edge=laplacian_edge,
+        laplacian_sign=laplacian_sign,
         edge_index=edge_index,
         band_order=band_order,
         band_rank=band_rank,
+        band_sources=band_sources,
         bandwidth=bandwidth,
         band_index=band_index,
+        band_edge=band_edge,
+        band_sign=band_sign,
     )
 
 
@@ -302,10 +333,6 @@ def edge_values(net: Network, C) -> np.ndarray:
     return values
 
 
-#: signs of an edge's four Laplacian entries, in ``laplacian_index`` order
-_LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
-
 def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     """Dense Laplacian D - W of the per-edge ``weights`` (not validated).
 
@@ -313,13 +340,9 @@ def assemble_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     result is independent of BLAS blocking and thread count.
     """
     n = net.vertex_count
-    flat = (weights[:, None] * _LAPLACIAN_SIGNS).ravel()
+    flat = weights[net.laplacian_edge] * net.laplacian_sign
     # bincount of no entries is int64 whatever the weights
     return np.bincount(net.laplacian_index, flat, n * n).astype(float, copy=False).reshape(n, n)
-
-
-#: signs of an edge's three band entries, in ``band_index`` order
-_BAND_SIGNS = _LAPLACIAN_SIGNS[:3]
 
 
 def assemble_band_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
@@ -332,7 +355,7 @@ def assemble_band_laplacian(net: Network, weights: np.ndarray) -> np.ndarray:
     Laplacian bit for bit.
     """
     rows = net.bandwidth + 1
-    flat = (weights[:, None] * _BAND_SIGNS).ravel()
+    flat = weights[net.band_edge] * net.band_sign
     band = np.bincount(net.band_index, flat, net.vertex_count * rows).astype(float, copy=False)
     return band.reshape(-1, rows).T
 

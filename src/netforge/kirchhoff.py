@@ -87,7 +87,7 @@ def solve_pressures(net: Network, weights, comps, scale) -> np.ndarray:
     ranks = [net.band_rank[c] for c in comps] if several else None
     band = assemble_band_laplacian(net, weights)
     lap = band.copy(order="F")
-    rhs = S[net.band_order]
+    rhs = net.band_sources.copy()
     # band position g's column sits at flat positions g (b+1) .. g (b+1) + b
     # and its row at g (b+1) - k b for k = 1 .. min(b, g), none when b = 0
     flat = band.ravel(order="F")
@@ -109,7 +109,7 @@ def solve_pressures(net: Network, weights, comps, scale) -> np.ndarray:
         for r in ranks:
             x[r] -= x[r].mean()
 
-    residual = np.abs(dsbmv(b, 1.0, lap, x, lower=1) - S[net.band_order])
+    residual = np.abs(dsbmv(b, 1.0, lap, x, lower=1) - net.band_sources)
     worst = residual.max()
     P = x[net.band_rank]
     if worst > RESIDUAL_RTOL * scale:

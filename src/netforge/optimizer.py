@@ -30,6 +30,7 @@ from .graph import (
     active_cutoff,
     assemble_laplacian,
     edge_values,
+    require_integer,
     support_components,
 )
 from .kirchhoff import solve_kirchhoff, solve_pressures
@@ -79,9 +80,7 @@ class OptimConfig:
         if isinstance(tau0, bool) or not isinstance(tau0, numbers.Real) or not 0 < tau0 < math.inf:
             raise ValueError("tau0 must be positive and finite")
         for name in ("iters", "seed", "trace_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+            require_integer(name, getattr(self, name))
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.seed < 0:

@@ -95,7 +95,8 @@ def _low_spectrum(lap: np.ndarray):
         if info != 0:
             raise IllConditionedError(f"dsyevr failed with info = {info}")
         w = w[:count]
-        if count == n or w[-1] - w[1] > gap_tolerance(w[1]):
+        values = w.tolist()
+        if count == n or values[-1] - values[1] > gap_tolerance(values[1]):
             return w, V
         count = min(n, 2 * count)
 
@@ -113,21 +114,23 @@ def fiedler_pair(w: np.ndarray, V: np.ndarray):
     Fiedler value and the raw solver basis may mix in the constant vector.
     """
     n = V.shape[0]
-    fiedler = float(w[1])
+    values = w.tolist()
+    fiedler = values[1]
     tol = gap_tolerance(fiedler)
-    multiplicity = int(np.count_nonzero(np.abs(w[1:] - fiedler) <= tol))
+    multiplicity = sum([abs(x - fiedler) <= tol for x in values[1:]])
 
-    vec = V[:, 1] - V[:, 1].sum() / n
+    column = V[:, 1]
+    vec = column - column.sum() / n
     norm2 = vec @ vec
     if norm2 > 1e-16:
-        vec = vec / np.sqrt(norm2)
+        vec = vec / math.sqrt(norm2)
     else:
         # the first basis vector collapsed onto the constant vector: walk the
         # rest of the eigenspace (including the trivial column if degenerate)
-        block = [k for k in range(2, w.size) if abs(w[k] - fiedler) <= tol]
-        if abs(w[0] - fiedler) <= tol:
+        block = [k for k in range(2, w.size) if abs(values[k] - fiedler) <= tol]
+        if abs(values[0] - fiedler) <= tol:
             block.append(0)
-        vec = V[:, 1].copy()
+        vec = column.copy()
         for k in block:
             candidate = V[:, k] - V[:, k].sum() / n
             norm = np.linalg.norm(candidate)

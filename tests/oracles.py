@@ -1,7 +1,9 @@
 """Numerical probes of the paper's structural claims: convexity of the energy,
 concavity of the Fiedler number, Lipschitz fluxes and energy-neutral loop
-perturbations under linear cost.  They check the library's kernels from the
-outside and are used only by the tests."""
+perturbations under linear cost; and the plain formulas that the library's
+scatter, multiplicity and metabolic kernels must match bit for bit.  They
+check the library's kernels from the outside and are used only by the
+tests."""
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
@@ -20,6 +22,35 @@ class NoCycleError(nf.NetforgeError):
 
 class NotStationaryError(nf.NetforgeError):
     """The stationarity an energy-preserving cycle perturbation needs fails."""
+
+
+def broadcast_laplacian(net, weights) -> np.ndarray:
+    """Dense Laplacian of the per-edge ``weights``: each edge's four signed
+    entries broadcast in ``laplacian_index`` order, summed by ``bincount``."""
+    n = net.vertex_count
+    flat = (weights[:, None] * np.array([1.0, 1.0, -1.0, -1.0])).ravel()
+    return np.bincount(net.laplacian_index, flat, n * n).astype(float, copy=False).reshape(n, n)
+
+
+def broadcast_band_laplacian(net, weights) -> np.ndarray:
+    """Lower band of the Laplacian in band order, by the same broadcast over
+    each edge's three band entries."""
+    rows = net.bandwidth + 1
+    flat = (weights[:, None] * np.array([1.0, 1.0, -1.0])).ravel()
+    band = np.bincount(net.band_index, flat, net.vertex_count * rows).astype(float, copy=False)
+    return band.reshape(-1, rows).T
+
+
+def window_multiplicity(w) -> int:
+    """Number of eigenvalues w[1:] within the gap tolerance of w[1]."""
+    fiedler = float(w[1])
+    return int(np.count_nonzero(np.abs(w[1:] - fiedler) <= nf.spectral.gap_tolerance(fiedler)))
+
+
+def power_metabolic_energy(values, lengths, params):
+    """nu / gamma * sum C^gamma L with the power taken at every gamma."""
+    cost = np.vecdot(values**params.gamma, lengths)
+    return params.nu / params.gamma * (float(cost) if cost.ndim == 0 else cost)
 
 
 @dataclass(frozen=True)

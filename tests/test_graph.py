@@ -72,11 +72,57 @@ def test_network_is_immutable():
         net.sources[0] = 2.0
     with pytest.raises(Exception):
         net.vertex_count = 5
-    for name in ("band_order", "band_rank", "band_index"):
+    for name in (
+        "band_order", "band_rank", "band_index", "band_sources", "band_edge", "band_sign",
+        "laplacian_index", "laplacian_edge", "laplacian_sign",
+    ):
         with pytest.raises(ValueError):
             getattr(net, name)[0] = 1
     with pytest.raises(Exception):
         net.bandwidth = 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: nf.leaf_network(40.5, 0),
+        lambda: nf.leaf_network("40", 0),
+        lambda: nf.leaf_network(40, True),
+        lambda: nf.new_network("3", [(0, 1), (1, 2)], [1.0, 0.0, -1.0]),
+        lambda: nf.new_network(True, [], [0.0]),
+        lambda: nf.new_network(3.5, [(0, 1), (1, 2)], [1.0, 0.0, -1.0]),
+    ],
+)
+def test_non_integer_counts_and_seeds_rejected(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_counts_and_seeds_accepted():
+    net = nf.new_network(np.int64(3), [(0, 1), (1, 2)], [1.0, 0.0, -1.0])
+    assert type(net.vertex_count) is int and net.vertex_count == 3
+    assert nf.leaf_network(np.int32(40), np.uint8(0)) == nf.leaf_network(40, 0)
+
+
+def test_scatter_fields_rebuild_the_index_order():
+    # each edge's entries are consecutive, in ascending edge order: its (u, u)
+    # and (v, v) positions with sign +1, then its off-diagonal ones with -1
+    rng = np.random.default_rng(5)
+    nets = [random_connected_network(rng, n_min=2, n_max=20) for _ in range(10)]
+    for net in nets + [nf.seven_node_network(), nf.leaf_network(40, 1), nf.new_network(1, [], [0.0])]:
+        assert net.band_sources.tobytes() == net.sources[net.band_order].tobytes()
+        dense_row, dense_col = np.divmod(net.laplacian_index, net.vertex_count)
+        band_col, band_k = np.divmod(net.band_index, net.bandwidth + 1)
+        ranks = net.band_rank[net.edge_u], net.band_rank[net.edge_v]
+        for row, col, edge, sign, (a, b), per_edge in (
+            (dense_row, dense_col, net.laplacian_edge, net.laplacian_sign, (net.edge_u, net.edge_v), 4),
+            (band_col + band_k, band_col, net.band_edge, net.band_sign, ranks, 3),
+        ):
+            assert np.array_equal(edge, np.repeat(np.arange(net.edge_count), per_edge))
+            ends = np.stack([a[edge], b[edge]])
+            assert np.all((row == ends).any(axis=0)) and np.all((col == ends).any(axis=0))
+            assert np.array_equal(sign, np.where(row == col, 1.0, -1.0))
+            assert np.array_equal(row[sign > 0], np.stack([a, b], axis=1).ravel())
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netforge as nf
-from netforge.spectral import _low_spectrum, _path_cholesky
+from netforge.energy import metabolic_energy
+from netforge.graph import assemble_band_laplacian, assemble_laplacian
+from netforge.spectral import _low_spectrum, _path_cholesky, fiedler_pair, gap_tolerance
 from netforge.trees import _tree_energy_blocks
-from oracles import _support_cycle
+from oracles import (
+    _support_cycle,
+    broadcast_band_laplacian,
+    broadcast_laplacian,
+    power_metabolic_energy,
+    window_multiplicity,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -75,6 +83,43 @@ def networks(draw, min_length=1e-6, max_length=1e6):
 @given(networks())
 def test_graph_document_round_trip(net):
     assert nf.io.network_from_dict(nf.io.network_to_dict(net)) == net
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.data())
+def test_scatter_and_metabolic_kernels_match_their_oracles_bit_for_bit(net, data):
+    m = net.edge_count
+    entries = st.just(0.0) | st.floats(0.0, 1e6)
+    weights = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)))
+    assert _bits(assemble_laplacian(net, weights)) == _bits(broadcast_laplacian(net, weights))
+    band = assemble_band_laplacian(net, weights)
+    assert band.flags.f_contiguous
+    assert _bits(band) == _bits(broadcast_band_laplacian(net, weights))
+
+    gamma = data.draw(st.just(1.0) | st.floats(0.1, 3.0))
+    params = nf.ModelParams(gamma=gamma, nu=data.draw(st.floats(0.1, 10.0)))
+    stack = np.stack([weights, weights[::-1]])
+    for values in (weights, stack):
+        cost = metabolic_energy(values, net.lengths, params)
+        assert _bits(cost) == _bits(power_metabolic_energy(values, net.lengths, params))
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-8, 1.0]), st.data())
+def test_fiedler_multiplicity_matches_its_oracle(fiedler, data):
+    # an ascending window whose Fiedler value w[1] may repeat exactly, or
+    # recur within, at or just beyond the gap tolerance
+    tol = gap_tolerance(fiedler)
+    gap = st.sampled_from([0.0, 0.5 * tol, tol, 1.5 * tol]) | st.floats(0.0, 4.0 * tol)
+    rest = sorted(fiedler + g for g in data.draw(st.lists(gap, min_size=1, max_size=6)))
+    w = np.array([fiedler - data.draw(st.sampled_from([0.0, tol]) | st.floats(0.0, 1.0)), fiedler, *rest])
+    multiplicity = fiedler_pair(w, np.eye(w.size))[2]
+    assert type(multiplicity) is int
+    assert multiplicity == window_multiplicity(w)
 
 
 @PROPERTY_SETTINGS
